@@ -222,8 +222,8 @@ def make_fleet(robot, octree, config: Optional[ReproConfig] = None, *, telemetry
     """The sharded planning fleet, wired from ``config``.
 
     Defaults to :meth:`ReproConfig.for_fleet` when ``config`` is None;
-    ``config.fleet`` selects the shard count, router policy, worker mode,
-    and global cache tier.
+    ``config.fleet`` selects the shard count, router policy, and global
+    cache tier.
     """
     from repro.serving.fleet import PlanningFleet
 

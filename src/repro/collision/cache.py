@@ -35,14 +35,16 @@ Hit/miss/invalidation counters are mirrored into an optional
 stacks a shard-private *local* tier over an optional fleet-wide *global*
 tier (:mod:`repro.serving.fleet`).  During a drain a shard reads
 local-then-global and writes local only, logging its fresh entries; at the
-drain boundary the fleet router merges every shard's fresh entries into
-the global tier in shard-index order (:meth:`CollisionCache.adopt`), so
-the global tier's content is a deterministic function of the drain — not
-of worker interleaving.  Both tiers observe every environment update at
-the same epoch boundary with the same changed-region boxes, so an entry's
-survival verdict is identical in every tier.  Cache *content* never
-affects verdicts or stats (hits replay exact deltas), so tiering is purely
-a performance protocol — the bit-identity contract above is unchanged.
+drain boundary the fleet merges every shard's fresh entries into the
+global tier in shard-index order (:meth:`CollisionCache.adopt`, first
+writer wins).  The global tier stays frozen during a drain because shards
+model parallel replicas: no shard may see another's writes from the same
+drain, or its hits would depend on shard order.  Both tiers observe every
+environment update at the same epoch boundary with the same changed-region
+boxes, so an entry's survival verdict is identical in every tier.  Cache
+*content* never affects verdicts or stats (hits replay exact deltas), so
+tiering is purely a performance protocol — the bit-identity contract above
+is unchanged.
 """
 
 from __future__ import annotations
@@ -254,10 +256,6 @@ class CollisionCache:
             adopted += 1
         return adopted
 
-    def export_entries(self) -> List[Tuple[bytes, CacheEntry]]:
-        """Every live entry as ``(key, entry)`` pairs, in insertion order."""
-        return list(self._entries.items())
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -299,8 +297,8 @@ class TieredCollisionCache:
     - **Writes** land in the local tier only and are logged; the fleet
       collects the log with :meth:`export_fresh` at the drain boundary and
       merges it into the global tier in shard-index order.  The global
-      tier is therefore frozen for the whole drain, which is what makes a
-      multiprocessing drain bit-identical to the inline one.
+      tier is therefore frozen for the whole drain: shards are parallel
+      replicas, so no shard sees another's writes from the same drain.
     - **Invalidation** (:meth:`invalidate_regions`) applies to the local
       tier only; the owner of the shared global tier (the fleet)
       invalidates it exactly once per environment update with the same
@@ -437,40 +435,6 @@ class TieredCollisionCache:
                 out.append((key, entry))
         self._fresh.clear()
         return out
-
-    def export_state(self) -> dict:
-        """Picklable local-tier snapshot for a process-mode worker."""
-        return {
-            "entries": self.local.export_entries(),
-            "epoch": self.local.epoch,
-            "counters": {
-                "hits": self.hits,
-                "misses": self.misses,
-                "hits_local": self.hits_local,
-                "hits_global": self.hits_global,
-                "local_hits": self.local.hits,
-                "local_misses": self.local.misses,
-                "local_invalidated": self.local.invalidated,
-                "local_epoch_advances": self.local.epoch_advances,
-            },
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
-        self.local._entries = dict(state["entries"])
-        self.local.epoch = state["epoch"]
-        if self.global_tier is not None:
-            self.global_tier.epoch = state["epoch"]
-        counters = state["counters"]
-        self.hits = counters["hits"]
-        self.misses = counters["misses"]
-        self.hits_local = counters["hits_local"]
-        self.hits_global = counters["hits_global"]
-        self.local.hits = counters["local_hits"]
-        self.local.misses = counters["local_misses"]
-        self.local.invalidated = counters["local_invalidated"]
-        self.local.epoch_advances = counters["local_epoch_advances"]
-        self._fresh.clear()
 
 
 def footprint_of_obbs(obbs) -> AABB:

@@ -20,7 +20,7 @@ This module replaces them with frozen dataclasses:
   cost model, and the in-config fault-injection regime;
 - :class:`FleetConfig` — the sharded planning fleet
   (:mod:`repro.serving.fleet`): shard count, routing policy, and the
-  worker substrate (inline vs ``multiprocessing``);
+  global cache tier;
 - :class:`ReproConfig` — the top-level bundle the :mod:`repro.api` facade
   consumes.
 
@@ -50,7 +50,6 @@ __all__ = [
     "PLANNERS",
     "SERVICE_MODES",
     "ROUTER_POLICIES",
-    "FLEET_WORKER_MODES",
     "EngineConfig",
     "ResilienceConfig",
     "CacheConfig",
@@ -71,8 +70,6 @@ PLANNERS = ("rrt", "rrt_connect", "prm", "mpnet")
 SERVICE_MODES = ("sequential", "batched")
 #: Fleet request-routing policies (see :class:`repro.serving.router.FleetRouter`).
 ROUTER_POLICIES = ("hash", "round_robin", "client", "region")
-#: Fleet shard execution substrates (see :class:`repro.serving.fleet.PlanningFleet`).
-FLEET_WORKER_MODES = ("inline", "process")
 
 
 def _check_choice(name: str, value: str, choices: Tuple[str, ...]) -> None:
@@ -275,10 +272,11 @@ class ServiceConfig:
     ``fault_seed`` describe the chaos regime in-config: when
     ``fault_models`` is set the service builds its own seeded
     :class:`~repro.resilience.faults.FaultInjector` at construction
-    (exposed as ``service.fault_injector`` for event inspection).  This
-    replaces the legacy ``fault_injector=`` constructor kwarg, which still
-    works behind a :class:`DeprecationWarning` shim pinned bit-identical
-    in the tests.
+    (exposed as ``service.fault_injector`` for event inspection).  Faults
+    need ``mode="sequential"``: a batched flush answers phases through the
+    shared vectorized checker, which no injector reaches, so
+    ``mode="batched"`` with ``fault_models`` is rejected here rather than
+    left silently inert.
     """
 
     mode: str = "batched"
@@ -324,6 +322,12 @@ class ServiceConfig:
                 "fault_models must be a repro.resilience.faults.FaultModels "
                 f"(or None), got {type(self.fault_models).__name__}"
             )
+        if self.fault_models is not None and self.mode == "batched":
+            raise ValueError(
+                "fault_models has no effect in service mode 'batched' (its "
+                "flush never reaches the fault injector); use "
+                "mode='sequential' to serve under injected faults"
+            )
 
     def to_dict(self) -> dict:
         return config_to_dict(self)
@@ -346,28 +350,20 @@ class FleetConfig:
     robot's/client's requests land on one shard, preserving per-client
     FIFO); ``"region"`` — seeded hash of the request's start configuration
     quantized to ``region_quantum`` (spatial locality).  ``router_seed``
-    keys the hashes.
-
-    ``workers`` selects the execution substrate: ``"inline"`` drains every
-    shard in-process (the deterministic reference), ``"process"`` drains
-    shards in parallel ``multiprocessing`` workers fed by shared-memory
-    numpy octree/pose buffers — bit-identical to inline by construction
-    (pinned by the fleet differential tests).  ``global_cache`` enables the
-    fleet-wide global verdict-cache tier that shards sync into at drain
-    boundaries (requires ``CacheConfig.enabled``).
+    keys the hashes.  ``global_cache`` enables the fleet-wide global
+    verdict-cache tier that shards sync into at drain boundaries (requires
+    ``CacheConfig.enabled``).
     """
 
     n_shards: int = 1
     router: str = "hash"
     router_seed: int = 0
-    workers: str = "inline"
     region_quantum: float = 1.0
     global_cache: bool = True
 
     def __post_init__(self):
         _check_positive("n_shards", self.n_shards)
         _check_choice("router policy", self.router, ROUTER_POLICIES)
-        _check_choice("fleet worker mode", self.workers, FLEET_WORKER_MODES)
         _check_positive("region_quantum", self.region_quantum)
 
     def to_dict(self) -> dict:

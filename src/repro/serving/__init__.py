@@ -14,9 +14,8 @@ and preempts requests that exceed their priced energy budget.
 
 Scaling past the single event loop is the fleet layer
 (:mod:`repro.serving.fleet`): N service shards behind a deterministic
-router (:mod:`repro.serving.router`), tiered local+global verdict caches,
-and optional multiprocessing workers fed through shared-memory scene
-buffers — bit-identical to the inline drain by construction.
+router (:mod:`repro.serving.router`) and tiered local+global verdict
+caches, drained one shard after another on per-shard simulated clocks.
 """
 
 from repro.serving.admission import (

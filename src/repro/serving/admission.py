@@ -186,24 +186,6 @@ class AdmissionController:
             return self._shed("expired_in_queue", DegradationLevel.FULL_REPLAN)
         return AdmissionDecision(admitted=True)
 
-    # -- fleet state shipping -----------------------------------------
-
-    def export_state(self) -> dict:
-        """Snapshot the estimator and tallies (process-mode shard jobs)."""
-        return {
-            "service_us_total": self._service_us_total,
-            "service_count": self._service_count,
-            "shed_counts": dict(self.shed_counts),
-            "level_history": list(self.level_history),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
-        self._service_us_total = state["service_us_total"]
-        self._service_count = state["service_count"]
-        self.shed_counts = dict(state["shed_counts"])
-        self.level_history = list(state["level_history"])
-
     # -- internals ----------------------------------------------------
 
     def _shed(self, reason: str, level: DegradationLevel) -> AdmissionDecision:
@@ -302,26 +284,6 @@ class DeficitRoundRobin:
                 )
         self._cursor = (start + visited) % n if n else 0
         return released
-
-    def export_state(self) -> dict:
-        """Snapshot queues, deficits, and the cursor (process-mode jobs).
-
-        Per-client entry lists are copied as-is: a copy of a heapq list is
-        itself a valid heap, so the restored queues pop in the same order.
-        """
-        return {
-            "queues": {c: list(q) for c, q in self._queues.items()},
-            "order": list(self._order),
-            "deficit": dict(self._deficit),
-            "cursor": self._cursor,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
-        self._queues = {c: list(q) for c, q in state["queues"].items()}
-        self._order = list(state["order"])
-        self._deficit = dict(state["deficit"])
-        self._cursor = state["cursor"]
 
     def drain_fifo(self) -> List[object]:
         """All remaining items in global (priority, arrival, seq) order."""

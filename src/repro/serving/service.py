@@ -65,7 +65,6 @@ overhead-amortization argument as the paper's SAS dispatch model.
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -460,9 +459,7 @@ class PlanningService:
     service-owned :class:`repro.resilience.faults.FaultInjector` threaded
     through per-request checkers and sequential-mode engines; engine phase
     faults are retried up to ``max_fault_retries`` times before the request
-    fails with ``status="failed"`` (and no path).  The legacy
-    ``fault_injector=`` kwarg still works behind a ``DeprecationWarning``
-    shim (pinned bit-identical in ``tests/test_config_api.py``).
+    fails with ``status="failed"`` (and no path).
 
     ``cache=`` injects an externally owned cache — the fleet's hook for
     mounting a :class:`~repro.collision.cache.TieredCollisionCache` per
@@ -475,7 +472,6 @@ class PlanningService:
         octree: Octree,
         config: Optional[ReproConfig] = None,
         telemetry=None,
-        fault_injector=None,
         cache=None,
     ):
         if config is None:
@@ -491,29 +487,13 @@ class PlanningService:
         self.octree = octree
         self.config = config
         self.telemetry = telemetry
-        if fault_injector is not None:
-            if config.service.fault_models is not None:
-                raise ValueError(
-                    "faults configured twice: ServiceConfig.fault_models is "
-                    "set and a fault_injector= was passed; use the config "
-                    "field only"
-                )
-            warnings.warn(
-                "PlanningService(fault_injector=...) is deprecated; "
-                "configure faults with ServiceConfig(fault_models=..., "
-                "fault_seed=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.fault_injector = fault_injector
-        elif config.service.fault_models is not None:
+        self.fault_injector: Optional[FaultInjector] = None
+        if config.service.fault_models is not None:
             self.fault_injector = FaultInjector(
                 models=config.service.fault_models,
                 seed=config.service.fault_seed,
                 telemetry=telemetry,
             )
-        else:
-            self.fault_injector = None
         self.env_epoch = 0
         self.clock_us = 0.0
         self.rounds = 0
@@ -600,7 +580,7 @@ class PlanningService:
             self.submit(request, arrival_ms=arrival_ms)
 
     def _next_seq(self) -> int:
-        """Monotone submission sequence (an int so state export can peek)."""
+        """Monotone submission sequence (the FIFO tiebreak)."""
         seq = self._seq
         self._seq += 1
         return seq
@@ -1056,100 +1036,6 @@ class PlanningService:
             shed_reason=None,
             client_id=task.request.client_id,
         )
-
-    # ------------------------------------------------------------------
-    # Fleet state shipping (process-mode shard jobs)
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Picklable snapshot of the service core, taken between drains.
-
-        The fleet's process mode ships this to a worker, which rebuilds an
-        identical service (same robot/octree/config), restores the state,
-        drains, and ships the post-drain snapshot back — the drain in the
-        worker is bit-identical to draining in place because *all* mutable
-        core state rides along: clock, epoch, submission sequence, queues,
-        prior responses, admission estimator, fairness deficits, and the
-        fault injector's RNG streams.  The cache is shipped separately by
-        the fleet (it owns the tier topology).  Only queued state can ship:
-        in-flight tasks hold live generators, which cannot cross a process
-        boundary.
-        """
-        if self._inflight:
-            raise RuntimeError(
-                "export_state requires no in-flight tasks (drain first)"
-            )
-        if self.fault_injector is None:
-            faults = None
-        else:
-            faults = {
-                "models": self.fault_injector.models,
-                "seed": self.fault_injector.seed,
-                "enabled": self.fault_injector.enabled,
-                "events": list(self.fault_injector.events),
-                # np.random.Generator pickles with its stream position, so
-                # the worker resumes each site's decision stream mid-flow.
-                "rngs": dict(self.fault_injector._rngs),
-                "draws": dict(self.fault_injector._draws),
-            }
-        return {
-            "clock_us": self.clock_us,
-            "env_epoch": self.env_epoch,
-            "rounds": self.rounds,
-            "seq": self._seq,
-            "queue": list(self._queue),
-            "arrivals": list(self._arrivals),
-            "responses": dict(self._responses),
-            "request_ids": set(self._request_ids),
-            "admission": (
-                self.admission.export_state()
-                if self.admission is not None
-                else None
-            ),
-            "drr": self._drr.export_state() if self._drr is not None else None,
-            "faults": faults,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
-        if self._inflight:
-            raise RuntimeError(
-                "load_state requires no in-flight tasks (drain first)"
-            )
-        self.clock_us = state["clock_us"]
-        self.env_epoch = state["env_epoch"]
-        self.rounds = state["rounds"]
-        self._seq = state["seq"]
-        self._queue = list(state["queue"])
-        self._arrivals = list(state["arrivals"])
-        self._responses = dict(state["responses"])
-        self._request_ids = set(state["request_ids"])
-        if state["admission"] is not None:
-            if self.admission is None:
-                raise ValueError(
-                    "snapshot has admission state but this service was "
-                    "built without admission_control"
-                )
-            self.admission.load_state(state["admission"])
-        if state["drr"] is not None:
-            if self._drr is None:
-                raise ValueError(
-                    "snapshot has fairness state but this service was "
-                    "built without fairness"
-                )
-            self._drr.load_state(state["drr"])
-        faults = state["faults"]
-        if faults is not None:
-            injector = FaultInjector(
-                models=faults["models"],
-                seed=faults["seed"],
-                enabled=faults["enabled"],
-                telemetry=self.telemetry,
-            )
-            injector.events = list(faults["events"])
-            injector._rngs = dict(faults["rngs"])
-            injector._draws = dict(faults["draws"])
-            self.fault_injector = injector
 
     # ------------------------------------------------------------------
     # Introspection

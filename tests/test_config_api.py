@@ -90,8 +90,6 @@ class TestValidation:
             FleetConfig(n_shards=0)
         with pytest.raises(ValueError, match="round_robin"):
             FleetConfig(router="sticky")
-        with pytest.raises(ValueError, match="inline"):
-            FleetConfig(workers="threads")
         with pytest.raises(ValueError, match="region_quantum"):
             FleetConfig(region_quantum=0.0)
 
@@ -100,9 +98,19 @@ class TestValidation:
         assert config.fleet.n_shards == 4
         assert config.backend == "batch" and config.cache.enabled
         override = ReproConfig.for_fleet(
-            2, fleet=FleetConfig(n_shards=2, workers="process")
+            2, fleet=FleetConfig(n_shards=2, router="round_robin")
         )
-        assert override.fleet.workers == "process"
+        assert override.fleet.router == "round_robin"
+
+    def test_batched_service_rejects_fault_models(self):
+        """A batched flush never reaches the injector: reject, don't ignore."""
+        from repro.resilience.faults import FaultModels
+
+        models = FaultModels(engine_exception_rate=0.1)
+        with pytest.raises(ValueError, match="mode='sequential'"):
+            ServiceConfig(mode="batched", fault_models=models)
+        sequential = ServiceConfig(mode="sequential", fault_models=models)
+        assert sequential.fault_models is models
 
 
 class TestRoundTrip:
@@ -119,7 +127,6 @@ class TestRoundTrip:
                 n_shards=4,
                 router="region",
                 router_seed=3,
-                workers="process",
                 region_quantum=0.5,
                 global_cache=False,
             ),
@@ -148,6 +155,13 @@ class TestRoundTrip:
             ReproConfig.from_dict({"backend": "batch", "bogus_knob": 1})
         message = str(excinfo.value)
         assert "bogus_knob" in message and "octree_resolution" in message
+
+    def test_removed_fleet_workers_key_rejected(self):
+        """A config saved with the removed worker mode fails loudly."""
+        data = ReproConfig.for_fleet(2).to_dict()
+        data["fleet"]["workers"] = "process"
+        with pytest.raises(ValueError, match="workers"):
+            ReproConfig.from_dict(data)
 
     def test_loaded_bad_enum_lists_choices(self, tmp_path):
         path = str(tmp_path / "config.json")
@@ -312,79 +326,6 @@ class TestLegacyShims:
                 scene_update=lambda s, tick, r: False,
                 backend="batch",
                 repro=ReproConfig(backend="batch"),
-            )
-
-    def _chaos_run(self, world, fault_injector=None, fault_models=None):
-        from repro.collision.checker import RobotEnvironmentChecker
-        from repro.serving import PlanningService, PlanRequest
-
-        _, octree, robot = world
-        config = ReproConfig.for_service(
-            service=ServiceConfig(
-                mode="sequential",
-                max_fault_retries=4,
-                fault_models=fault_models,
-                fault_seed=99,
-            )
-        )
-        service = PlanningService(
-            robot, octree, config=config, fault_injector=fault_injector
-        )
-        checker = RobotEnvironmentChecker.from_config(
-            robot, octree, ReproConfig()
-        )
-        rng = np.random.default_rng(11)
-        poses = [checker.sample_free_configuration(rng) for _ in range(4)]
-        service.submit(
-            PlanRequest("a", poses[0], poses[1], planner="rrt_connect", seed=5)
-        )
-        service.submit(
-            PlanRequest("b", poses[2], poses[3], planner="rrt", seed=6)
-        )
-        report = service.run()
-        return {
-            rid: (
-                resp.success,
-                None
-                if resp.path is None
-                else [q.tolist() for q in resp.path],
-                resp.stats.as_dict(),
-                resp.status,
-            )
-            for rid, resp in report.responses.items()
-        }, service.fault_injector.events
-
-    def test_service_fault_injector_kwarg_warns_and_matches(self, world):
-        """The deprecated fault_injector= shim is pinned bit-identical to
-        the typed ServiceConfig.fault_models path."""
-        from repro.resilience.faults import FaultInjector, FaultModels
-
-        models = FaultModels(
-            engine_exception_rate=0.05, engine_timeout_rate=0.05
-        )
-        with pytest.warns(DeprecationWarning, match="fault_models"):
-            legacy, legacy_events = self._chaos_run(
-                world, fault_injector=FaultInjector(models=models, seed=99)
-            )
-        typed, typed_events = self._chaos_run(world, fault_models=models)
-        assert legacy == typed
-        assert legacy_events == typed_events
-
-    def test_service_rejects_config_plus_fault_kwarg(self, world):
-        from repro.resilience.faults import FaultInjector, FaultModels
-        from repro.serving import PlanningService
-
-        _, octree, robot = world
-        models = FaultModels(engine_exception_rate=0.1)
-        config = ReproConfig.for_service(
-            service=ServiceConfig(fault_models=models, fault_seed=99)
-        )
-        with pytest.raises(ValueError, match="fault_injector"):
-            PlanningService(
-                robot,
-                octree,
-                config=config,
-                fault_injector=FaultInjector(models=models, seed=99),
             )
 
 

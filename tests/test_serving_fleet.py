@@ -2,12 +2,12 @@
 
 The fleet's contract extends the service's: a request routed to any shard
 of any fleet produces the same path, verdicts, and stats as running alone
-through the sequential scalar reference — under shard counts {1, 2, 4, 7},
-with inline or multiprocessing workers, across environment updates.  These
-tests pin that differential, the deterministic router policies, the
-drain-boundary global-tier sync, the epoch-consistent invalidation
-broadcast (including its atomicity against in-flight work), and the
-1-shard fleet's equivalence to the plain PR 9 service.
+through the sequential scalar reference — under shard counts {1, 2, 4, 7}
+and across environment updates.  These tests pin that differential, the
+deterministic router policies, the drain-boundary global-tier sync, the
+epoch-consistent invalidation broadcast (including its atomicity against
+in-flight work), and the 1-shard fleet's equivalence to the plain
+service.
 """
 
 import numpy as np
@@ -109,9 +109,9 @@ def _fingerprint(report):
     return out
 
 
-def _fleet(robot, octree, n_shards, workers="inline", **fleet_kwargs):
+def _fleet(robot, octree, n_shards, **fleet_kwargs):
     config = ReproConfig.for_fleet(
-        fleet=FleetConfig(n_shards=n_shards, workers=workers, **fleet_kwargs)
+        fleet=FleetConfig(n_shards=n_shards, **fleet_kwargs)
     )
     return PlanningFleet(robot, octree, config=config)
 
@@ -278,59 +278,6 @@ class TestShardCountDifferential:
         assert all(fp == fingerprints[0] for fp in fingerprints[1:])
 
 
-class TestProcessWorkers:
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_process_equals_inline_bit_for_bit(
-        self, world, updated_octree, requests, n_shards
-    ):
-        """Two drains with an environment update between: mp == inline."""
-        _, octree, robot = world
-        outcomes = []
-        for workers in ("inline", "process"):
-            fleet = _fleet(robot, octree, n_shards=n_shards, workers=workers)
-            for request in requests:
-                fleet.submit(request)
-            first = fleet.run()
-            dropped = fleet.update_environment(updated_octree)
-            second_requests = [
-                PlanRequest(
-                    f"again-{r.request_id}",
-                    r.q_start,
-                    r.q_goal,
-                    planner=r.planner,
-                    seed=r.seed,
-                )
-                for r in requests
-            ]
-            for request in second_requests:
-                fleet.submit(request)
-            second = fleet.run()
-            outcomes.append(
-                (
-                    _fingerprint(first),
-                    _fingerprint(second),
-                    first.sim_ms,
-                    second.sim_ms,
-                    first.shard_sim_ms,
-                    second.shard_sim_ms,
-                    first.cache_counters,
-                    second.cache_counters,
-                    dropped,
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-
-    def test_process_workers_respect_traffic_arrivals(self, world, requests):
-        _, octree, robot = world
-        outcomes = []
-        for workers in ("inline", "process"):
-            fleet = _fleet(robot, octree, n_shards=2, workers=workers)
-            for at, request in enumerate(requests):
-                fleet.submit(request, arrival_ms=0.25 * at)
-            outcomes.append(_fingerprint(fleet.run()))
-        assert outcomes[0] == outcomes[1]
-
-
 class TestGlobalCacheTier:
     def test_drain_boundary_sync_populates_global_tier(self, world, requests):
         _, octree, robot = world
@@ -431,15 +378,15 @@ class TestEnvironmentBroadcast:
 
 
 class TestFleetWithOverloadPolicies:
-    def test_fairness_and_admission_survive_process_mode(self, world, poses):
-        """DRR + admission state ships to workers and back bit-identically."""
+    def test_fairness_and_admission_fleet_is_deterministic(
+        self, world, poses
+    ):
+        """Two identical DRR + admission fleets drain bit-identically."""
         _, octree, robot = world
         outcomes = []
-        for workers in ("inline", "process"):
+        for _ in range(2):
             config = ReproConfig.for_fleet(
-                fleet=FleetConfig(
-                    n_shards=2, workers=workers, router="round_robin"
-                ),
+                fleet=FleetConfig(n_shards=2, router="round_robin"),
                 service=ServiceConfig(
                     admission_control=True,
                     fairness=True,
