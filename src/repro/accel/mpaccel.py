@@ -70,12 +70,15 @@ class MotionPlanningTiming:
 class MPAccelSimulator:
     """Prices a recorded planner run on a full MPAccel configuration.
 
-    ``checker`` (optional) is the collision checker that produced the
-    phases; when it reports ``backend="batch"`` every query's ground truth
-    is primed through one vectorized ``check_poses`` dispatch per phase
-    before simulation (verdicts are bit-identical by the batch backend's
-    contract).  ``telemetry`` receives per-query scopes and the SAS
-    counters; ``check_invariants`` audits every simulated phase.
+    Every query first prices all of its poses on the CECDU model in batched
+    chunks (:meth:`~repro.accel.cecdu.CECDUModel.prime`), which gives the
+    same timing as pricing them one by one.  ``checker`` (optional) is the
+    collision checker that produced the phases; when it reports
+    ``backend="batch"`` every query's ground truth is primed through one
+    vectorized ``check_poses`` dispatch per phase before simulation
+    (verdicts are bit-identical by the batch backend's contract).
+    ``telemetry`` receives per-query scopes and the SAS counters;
+    ``check_invariants`` audits every simulated phase.
     """
 
     def __init__(
@@ -136,6 +139,9 @@ class MPAccelSimulator:
         primed = 0
         if self.checker is not None and getattr(self.checker, "backend", "scalar") == "batch":
             primed = prime_phases(phases, self.checker, self.telemetry)
+        # Price every pose the scheduler may probe in batched chunks, so its
+        # per-pose latency lookups all hit the CECDU memo.
+        self.cecdu_model.prime(phases)
 
         cd_cycles = 0
         cd_tests = 0

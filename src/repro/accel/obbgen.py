@@ -58,17 +58,14 @@ class OBBGenerationUnit:
         """Cycles until the first link's OBB is available."""
         return TRIG_PIPELINE_DEPTH + TRIG_ISSUES_PER_JOINT + MATMUL_CYCLES_PER_LINK
 
-    def generate(self, q) -> OBBGenerationResult:
-        """OBBs for pose ``q`` and the cycle each one becomes ready.
+    def ready_cycles(self) -> List[int]:
+        """The cycle each link's OBB becomes ready (the same for every pose).
 
         The trig pipeline issues sin/cos for joint i at cycle 2i, so joint
         i's values are ready at ``TRIG_DEPTH + 2(i+1)``; the transform chain
         then adds ``MATMUL_CYCLES_PER_LINK`` per link, serialized because
         link i's frame depends on link i-1's.
         """
-        obbs = self.robot.link_obbs(q)
-        if self.fixed_point is not None:
-            obbs = [quantize_obb(obb, self.fixed_point) for obb in obbs]
         ready: List[int] = []
         chain_time = TRIG_PIPELINE_DEPTH
         for link in self.robot.links:
@@ -76,6 +73,14 @@ class OBBGenerationUnit:
             trig_ready = TRIG_PIPELINE_DEPTH + TRIG_ISSUES_PER_JOINT * joint_count
             chain_time = max(chain_time, trig_ready) + MATMUL_CYCLES_PER_LINK
             ready.append(chain_time)
+        return ready
+
+    def generate(self, q) -> OBBGenerationResult:
+        """OBBs for pose ``q`` and the cycle each one becomes ready."""
+        obbs = self.robot.link_obbs(q)
+        if self.fixed_point is not None:
+            obbs = [quantize_obb(obb, self.fixed_point) for obb in obbs]
+        ready = self.ready_cycles()
         return OBBGenerationResult(
             obbs=obbs,
             ready_cycles=ready,

@@ -530,6 +530,12 @@ class BatchTraversalOutcome:
     sat_axes_tested: np.ndarray
     sphere_tests: np.ndarray
     exit_counts: np.ndarray
+    #: Intersection Unit busy cycles per query, filled only by
+    #: ``collide(..., iu_cycles=True)`` (the CECDU pricer): the sum of
+    #: ``exit_cycle`` over executed tests (multi-cycle IU), and the sum over
+    #: popped nodes of max(issue index + ``exit_cycle``) (pipelined IU).
+    multi_cycle_iu: Optional[np.ndarray] = None
+    pipelined_iu: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.hit)
@@ -575,26 +581,27 @@ class BatchOctreeCollider:
     def __init__(self, octree: Octree, config: CascadeConfig = DEFAULT_CASCADE):
         self.octree = octree
         self.config = config
-        n = len(octree.nodes)
-        self._states = np.zeros((n, 8), dtype=np.uint8)
-        self._children = np.full((n, 8), -1, dtype=np.int64)
-        for address, node in enumerate(octree.nodes):
-            for k in range(8):
-                self._states[address, k] = int(node.states[k])
-                if node.children[k] is not None:
-                    self._children[address, k] = node.children[k]
+        # The octree's shared read-only node table: built once per octree,
+        # so every collider over it costs no per-node Python work.
+        self._states = octree.states
+        self._children = octree.children
 
     def collide(
-        self, obbs: BatchOBBs, need_work: bool = True
+        self, obbs: BatchOBBs, need_work: bool = True, iu_cycles: bool = False
     ) -> BatchTraversalOutcome:
         """All Q queries against the octree; per-query verdicts and work.
 
         ``need_work=False`` runs the verdict-only traversal: identical
         ``hit`` bits, zeroed work arrays, and none of the per-level
         bincount/prefix bookkeeping (used by the engines when stats
-        collection is off).
+        collection is off).  ``iu_cycles=True`` also fills the outcome's
+        ``multi_cycle_iu``/``pipelined_iu`` sums, which the CECDU pricer
+        (:meth:`repro.accel.cecdu.CECDUModel.simulate_poses`) turns into
+        cycles; it needs the work bookkeeping, so it requires ``need_work``.
         """
         if not need_work:
+            if iu_cycles:
+                raise ValueError("iu_cycles=True needs need_work=True")
             return self._collide_hits_only(obbs)
         q_total = len(obbs)
         hit = np.zeros(q_total, dtype=bool)
@@ -604,6 +611,11 @@ class BatchOctreeCollider:
         sat_axes = np.zeros(q_total, dtype=np.int64)
         sphere_tests = np.zeros(q_total, dtype=np.int64)
         exit_counts = np.zeros((q_total, len(EXIT_STAGE_ORDER)), dtype=np.int64)
+        if iu_cycles:
+            multi_cycle_iu = np.zeros(q_total, dtype=np.int64)
+            pipelined_iu = np.zeros(q_total, dtype=np.int64)
+        else:
+            multi_cycle_iu = pipelined_iu = None
 
         bounds = self.octree.bounds
         # Frontier arrays, sorted by query id, FIFO order within each query.
@@ -668,6 +680,27 @@ class BatchOctreeCollider:
             visits[stopped_q] = cand_f[stop_key[first]] - f_start[stopped_q] + 1
             node_visits += visits
 
+            if iu_cycles and len(exec_q):
+                exec_cycle = result.exit_cycle[executed]
+                multi_cycle_iu += np.bincount(
+                    exec_q, weights=exec_cycle, minlength=q_total
+                ).astype(np.int64)
+                # Executed tests of one popped node are a contiguous run in
+                # candidate order; a test's issue index is its offset from
+                # its node's first candidate.
+                exec_f = cand_f[executed]
+                finish = (
+                    np.flatnonzero(executed)
+                    - np.searchsorted(cand_f, exec_f)
+                    + exec_cycle
+                )
+                runs = np.flatnonzero(np.diff(exec_f, prepend=-1))
+                pipelined_iu += np.bincount(
+                    f_query[exec_f[runs]],
+                    weights=np.maximum.reduceat(finish, runs),
+                    minlength=q_total,
+                ).astype(np.int64)
+
             # Next frontier: executed PARTIAL hits of still-running queries.
             expand = (
                 executed
@@ -688,6 +721,8 @@ class BatchOctreeCollider:
             sat_axes_tested=sat_axes,
             sphere_tests=sphere_tests,
             exit_counts=exit_counts,
+            multi_cycle_iu=multi_cycle_iu,
+            pipelined_iu=pipelined_iu,
         )
 
     def _collide_hits_only(self, obbs: BatchOBBs) -> BatchTraversalOutcome:

@@ -418,9 +418,22 @@ class ReproConfig:
         return cls(**overrides)
 
     @classmethod
-    def for_fleet(cls, n_shards: int = 1, **overrides) -> "ReproConfig":
-        """The fleet default: serving defaults plus an ``n_shards`` fleet."""
-        overrides.setdefault("fleet", FleetConfig(n_shards=n_shards))
+    def for_fleet(cls, n_shards: Optional[int] = None, **overrides) -> "ReproConfig":
+        """The fleet default: serving defaults plus an ``n_shards`` fleet.
+
+        ``n_shards`` alone builds ``FleetConfig(n_shards=n_shards)`` (one
+        shard when omitted); with an explicit ``fleet=`` it may only
+        restate that config's shard count — a disagreeing pair raises.
+        """
+        fleet = overrides.get("fleet")
+        if fleet is None:
+            overrides["fleet"] = FleetConfig(n_shards=n_shards or 1)
+        elif n_shards is not None and n_shards != fleet.n_shards:
+            raise ValueError(
+                f"for_fleet got n_shards={n_shards} but "
+                f"fleet=FleetConfig(n_shards={fleet.n_shards}); "
+                "give the shard count once"
+            )
         return cls.for_service(**overrides)
 
     def to_dict(self) -> dict:

@@ -72,6 +72,39 @@ class Octree:
         self.nodes = nodes
         self.bounds = bounds
         self.max_depth = max_depth
+        self._table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    # ------------------------------------------------------------------
+    # Flat node table (the batched traversals' view of the node words)
+    # ------------------------------------------------------------------
+
+    def _node_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Build ``(states, children)`` once; both are read-only."""
+        if self._table is None:
+            states = np.array([node.states for node in self.nodes], dtype=np.uint8)
+            children = np.full(states.shape, -1, dtype=np.int64)
+            # Exactly the PARTIAL octants have children; the boolean mask
+            # and the comprehension both walk node-major, octant-minor.
+            children[states == OctantState.PARTIAL] = [
+                child
+                for node in self.nodes
+                for child in node.children
+                if child is not None
+            ]
+            states.flags.writeable = False
+            children.flags.writeable = False
+            self._table = (states, children)
+        return self._table
+
+    @property
+    def states(self) -> np.ndarray:
+        """``(n, 8)`` uint8 octant states, row ``i`` for ``nodes[i]``."""
+        return self._node_table()[0]
+
+    @property
+    def children(self) -> np.ndarray:
+        """``(n, 8)`` int64 child addresses, ``-1`` where not PARTIAL."""
+        return self._node_table()[1]
 
     # ------------------------------------------------------------------
     # Construction

@@ -183,12 +183,10 @@ def run_fig18a(ctx: ExperimentContext) -> Experiment:
         for n_oocds, label in ((1, "single_iu"), (4, "four_iu")):
             model = CECDUModel(robot, octree, CECDUConfig(n_oocds=n_oocds))
             rng = np.random.default_rng(ctx.seed)
-            cycles = []
-            energy = []
-            for _ in range(n_poses):
-                outcome = model.simulate_pose(robot.random_configuration(rng))
-                cycles.append(outcome.cycles)
-                energy.append(outcome.energy_pj)
+            poses = [robot.random_configuration(rng) for _ in range(n_poses)]
+            outcomes = model.simulate_poses(poses)
+            cycles = [outcome.cycles for outcome in outcomes]
+            energy = [outcome.energy_pj for outcome in outcomes]
             rows.append(
                 {
                     "n_obstacles": n_obstacles,
@@ -250,10 +248,8 @@ def run_table1(ctx: ExperimentContext) -> Experiment:
             config = CECDUConfig(n_oocds=n_oocds, iu_kind=kind)
             model = CECDUModel(robot, benchmark.octree, config)
             rng = np.random.default_rng(ctx.seed)
-            cycles = [
-                model.simulate_pose(robot.random_configuration(rng)).cycles
-                for _ in range(n_poses)
-            ]
+            poses = [robot.random_configuration(rng) for _ in range(n_poses)]
+            cycles = [outcome.cycles for outcome in model.simulate_poses(poses)]
             spec = HardwareBlockLibrary.cecdu(config)
             rows.append(
                 {

@@ -4,10 +4,11 @@ Workloads are expensive to build (planner runs, collision ground truth),
 so a context builds each one lazily and caches it; every experiment that
 needs "the MPNet traces on the Baxter suite" shares the same object.
 
-Two scales are provided: ``quick`` (default; minutes of wall clock for the
-whole figure set) and ``paper`` (the full Section 6 sizes — ten
-environments with 100 queries each; expect hours, as the artifact's own
-README does).
+Two scales are provided: ``quick`` (default; about 20 s of wall clock for
+the whole figure set on a 2-core host) and ``paper`` (the full Section 6
+sizes — ten environments with 100 queries each).  At paper scale,
+``fig15 fig16 fig19 fig20`` took 3571 s of wall clock (peak RSS 1.8 GB) on
+the same 2-core host, with the batched CECDU pricing.
 """
 
 from __future__ import annotations

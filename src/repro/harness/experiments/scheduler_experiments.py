@@ -60,6 +60,7 @@ def _run_policy_with_cecdu(
             ),
             latency_model=cecdu.sas_latency_model(),
         )
+        cecdu.prime(phases)
         result = sim.run_phases(phases)
         totals["cycles"] += result.cycles
         totals["tests"] += result.tests

@@ -224,10 +224,8 @@ def run_table3(ctx: ExperimentContext) -> Experiment:
         config = MPAccelConfig(n_cecdus=16, cecdu=CECDUConfig(n_oocds=4, iu_kind=kind))
         cecdu = CECDUModel(robot, octree, config.cecdu)
         rng = np.random.default_rng(ctx.seed)
-        sample = [
-            cecdu.simulate_pose(robot.random_configuration(rng)).cycles
-            for _ in range(200)
-        ]
+        poses = [robot.random_configuration(rng) for _ in range(200)]
+        sample = [outcome.cycles for outcome in cecdu.simulate_poses(poses)]
         n_poses = 2**20 / len(robot.links)
         cycles = (n_poses / config.n_cecdus) * float(np.mean(sample))
         time_ms = cycles * config.cecdu.clock_period_ns * 1e-6

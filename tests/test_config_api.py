@@ -102,6 +102,14 @@ class TestValidation:
         )
         assert override.fleet.router == "round_robin"
 
+    def test_for_fleet_rejects_disagreeing_shard_counts(self):
+        """A shard count next to ``fleet=`` must not be silently dropped."""
+        with pytest.raises(ValueError, match="n_shards=4.*n_shards=1"):
+            ReproConfig.for_fleet(4, fleet=FleetConfig(router="round_robin"))
+        from_fleet = ReproConfig.for_fleet(fleet=FleetConfig(n_shards=3))
+        assert from_fleet.fleet.n_shards == 3
+        assert ReproConfig.for_fleet().fleet.n_shards == 1
+
     def test_batched_service_rejects_fault_models(self):
         """A batched flush never reaches the injector: reject, don't ignore."""
         from repro.resilience.faults import FaultModels

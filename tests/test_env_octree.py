@@ -51,6 +51,33 @@ class TestNodeEncoding:
         assert list(node.occupied_octants()) == [0, 2]
 
 
+class TestNodeTable:
+    def test_table_matches_node_words(self, bench_octree):
+        states, children = bench_octree.states, bench_octree.children
+        assert states.shape == children.shape == (bench_octree.node_count, 8)
+        assert states.dtype == np.uint8 and children.dtype == np.int64
+        for address, node in enumerate(bench_octree.nodes):
+            assert states[address].tolist() == [int(s) for s in node.states]
+            assert children[address].tolist() == [
+                -1 if child is None else child for child in node.children
+            ]
+
+    def test_built_once_read_only_and_shared(self, bench_octree):
+        from repro.collision.batch import BatchOctreeCollider
+
+        assert bench_octree.states is bench_octree.states
+        with pytest.raises(ValueError):
+            bench_octree.children[0, 0] = 3
+        collider = BatchOctreeCollider(bench_octree)
+        assert collider._states is bench_octree.states
+        assert collider._children is bench_octree.children
+
+    def test_empty_tree_has_no_children(self):
+        octree = Octree.from_voxel_grid(_grid_with([], resolution=4))
+        assert octree.states.tolist() == [[0] * 8]
+        assert octree.children.tolist() == [[-1] * 8]
+
+
 class TestConstruction:
     def test_rejects_non_power_of_two(self):
         grid = _grid_with([], resolution=8)
