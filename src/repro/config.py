@@ -48,7 +48,6 @@ __all__ = [
     "BACKENDS",
     "ENGINE_KINDS",
     "PLANNERS",
-    "SERVICE_MODES",
     "ROUTER_POLICIES",
     "EngineConfig",
     "ResilienceConfig",
@@ -66,8 +65,6 @@ BACKENDS = ("scalar", "batch")
 ENGINE_KINDS = ("sequential", "batch", "simulated")
 #: Planner kinds the facade and the serving layer can instantiate.
 PLANNERS = ("rrt", "rrt_connect", "prm", "mpnet")
-#: Serving dispatch modes (see :class:`repro.serving.PlanningService`).
-SERVICE_MODES = ("sequential", "batched")
 #: Fleet request-routing policies (see :class:`repro.serving.router.FleetRouter`).
 ROUTER_POLICIES = ("hash", "round_robin", "client", "region")
 
@@ -243,17 +240,16 @@ class CacheConfig:
 class ServiceConfig:
     """The multi-client planning service (:mod:`repro.serving`).
 
-    ``mode="batched"`` coalesces CD phases from up to ``batch_window``
+    Each scheduling round coalesces CD phases from up to ``batch_window``
     in-flight requests into single vectorized dispatches (inter-query
-    MCSP); ``"sequential"`` serves one request start-to-finish at a time
-    (the one-at-a-time baseline the differential tests compare against).
+    MCSP); ``max_inflight`` bounds how many requests are in flight at once
+    (``max_inflight=1`` serves them one after another).
 
     The ``*_us`` fields are the simulated cost model the service clock
-    charges per round: a fixed ``dispatch_overhead_us`` per dispatch, plus
-    per-pose costs that mirror the measured scalar/vectorized/cache-hit
-    gap (``pose_cost_us`` for scalar sequential evaluation,
-    ``batch_pose_cost_us`` per pose inside a coalesced vectorized dispatch,
-    ``cache_hit_cost_us`` per verdict served from the collision cache).
+    charges per round: a fixed ``dispatch_overhead_us`` per dispatch (and
+    per faulted phase), plus ``batch_pose_cost_us`` per pose evaluated
+    inside a coalesced vectorized dispatch and ``cache_hit_cost_us`` per
+    verdict served from the collision cache.
 
     The overload fields (all off by default — the defaults reproduce the
     pre-overload service bit-for-bit) gate :mod:`repro.serving.admission`:
@@ -265,27 +261,27 @@ class ServiceConfig:
     (in units of ``PlanRequest.size``); ``preempt_energy_budget_pj``
     evicts an in-flight request once its consumed work, priced through the
     MPAccel energy model, exceeds the budget; ``max_fault_retries`` bounds
-    per-phase retries against injected engine faults in sequential mode
-    before the request fails.
+    per-phase retries against injected engine faults before the request
+    fails (the count restarts whenever a phase is answered).
 
     ``fault_models`` (a :class:`repro.resilience.faults.FaultModels`) plus
     ``fault_seed`` describe the chaos regime in-config: when
     ``fault_models`` is set the service builds its own seeded
     :class:`~repro.resilience.faults.FaultInjector` at construction
-    (exposed as ``service.fault_injector`` for event inspection).  Faults
-    need ``mode="sequential"``: a batched flush answers phases through the
-    shared vectorized checker, which no injector reaches, so
-    ``mode="batched"`` with ``fault_models`` is rejected here rather than
-    left silently inert.
+    (exposed as ``service.fault_injector`` for event inspection), and each
+    round draws one engine fault per pending phase.  Only the engine rates
+    can fire in the service: it has no SAS lanes and no sensor, and its
+    vectorized flush never reaches the scalar bit-flip hook, so a nonzero
+    ``bit_flip_rate``, ``lane_drop_rate``, ``lane_stall_rate`` or
+    ``sensor_dropout_rate`` is rejected here rather than left silently
+    inert.
     """
 
-    mode: str = "batched"
     batch_window: int = 8
     max_inflight: int = 8
     default_deadline_ms: Optional[float] = None
     cancel_on_deadline_miss: bool = False
     dispatch_overhead_us: float = 25.0
-    pose_cost_us: float = 1.0
     batch_pose_cost_us: float = 0.05
     cache_hit_cost_us: float = 0.01
     admission_control: bool = False
@@ -298,13 +294,11 @@ class ServiceConfig:
     fault_models: Optional[FaultModels] = None
 
     def __post_init__(self):
-        _check_choice("service mode", self.mode, SERVICE_MODES)
         _check_positive("batch_window", self.batch_window)
         _check_positive("max_inflight", self.max_inflight)
         if self.default_deadline_ms is not None:
             _check_positive("default_deadline_ms", self.default_deadline_ms)
         _check_non_negative("dispatch_overhead_us", self.dispatch_overhead_us)
-        _check_non_negative("pose_cost_us", self.pose_cost_us)
         _check_non_negative("batch_pose_cost_us", self.batch_pose_cost_us)
         _check_non_negative("cache_hit_cost_us", self.cache_hit_cost_us)
         if self.max_queue_depth is not None:
@@ -315,18 +309,29 @@ class ServiceConfig:
                 "preempt_energy_budget_pj", self.preempt_energy_budget_pj
             )
         _check_non_negative("max_fault_retries", self.max_fault_retries)
-        if self.fault_models is not None and not isinstance(
-            self.fault_models, FaultModels
-        ):
+        if self.fault_models is None:
+            return
+        if not isinstance(self.fault_models, FaultModels):
             raise TypeError(
                 "fault_models must be a repro.resilience.faults.FaultModels "
                 f"(or None), got {type(self.fault_models).__name__}"
             )
-        if self.fault_models is not None and self.mode == "batched":
+        inert = [
+            name
+            for name in (
+                "bit_flip_rate",
+                "lane_drop_rate",
+                "lane_stall_rate",
+                "sensor_dropout_rate",
+            )
+            if getattr(self.fault_models, name) > 0.0
+        ]
+        if inert:
             raise ValueError(
-                "fault_models has no effect in service mode 'batched' (its "
-                "flush never reaches the fault injector); use "
-                "mode='sequential' to serve under injected faults"
+                f"fault model(s) {inert} can never fire in the planning "
+                "service (it has no SAS lanes or sensor, and its vectorized "
+                "flush never reaches the bit-flip hook); the service serves "
+                "engine_exception_rate and engine_timeout_rate only"
             )
 
     def to_dict(self) -> dict:
@@ -405,7 +410,7 @@ class ReproConfig:
                 "engine kind 'batch' requires backend 'batch' "
                 "(the scalar checker has no vectorized pipeline to dispatch to)"
             )
-        # (service mode "batched" additionally requires backend "batch";
+        # (the planning service additionally requires backend "batch";
         # PlanningService enforces that at construction, where the service
         # section actually binds — the default bundle stays valid for
         # non-serving uses.)

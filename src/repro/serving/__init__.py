@@ -34,7 +34,6 @@ from repro.serving.service import (
     PlanRequest,
     PlanResponse,
     ServiceReport,
-    group_pending_by_epoch,
 )
 from repro.serving.traffic import (
     TrafficEvent,
@@ -60,7 +59,6 @@ __all__ = [
     "TrafficEvent",
     "TrafficSpec",
     "TrafficTrace",
-    "group_pending_by_epoch",
     "overload_level",
     "priced_energy_pj",
     "requests_from_trace",

@@ -29,10 +29,14 @@ requests at collision-query boundaries:
    recorder contract), then flushes the collected phases through the
    :class:`~repro.serving.batcher.CrossRequestBatcher` in windows of
    ``batch_window`` phases — one vectorized dispatch per window, coalescing
-   work *across* requests.  Windows are grouped by environment epoch
-   (:func:`group_pending_by_epoch`): requests planning against the same
-   octree version coalesce into the same flush, so a flush never mixes
-   epochs (cache-aware routing).
+   work *across* requests.  Every request in a drain plans against the
+   same octree: :meth:`PlanningService.update_environment` refuses unless
+   the service is idle, so a flush never mixes environment epochs.  With
+   ``ServiceConfig.fault_models`` set, each pending phase first draws one
+   injected engine fault, in scheduling order; a faulted request sits out
+   this round's flush and retries its phase in the next round, and fails
+   (``status="failed"``, no path) once one phase has faulted more than
+   ``max_fault_retries`` times.
 4. **Deadlines and budgets.**  Every request carries a
    :class:`~repro.resilience.deadline.DeadlineBudget` (simulated
    milliseconds).  By default a miss is flagged on the response; with
@@ -56,10 +60,10 @@ requests in flight — pinned by ``tests/test_serving.py`` and
 default the service reproduces the pre-overload behavior bit-for-bit.
 
 The simulated cost model (microseconds) makes batching visible in service
-latency: a batched dispatch costs ``dispatch_overhead_us`` once plus
-per-pose costs (cheap for cache hits), while sequential mode pays the
-overhead per phase and the full per-pose cost — the same
-overhead-amortization argument as the paper's SAS dispatch model.
+latency: a dispatch costs ``dispatch_overhead_us`` once, however many
+phases it coalesces, plus per-pose costs (cheap for cache hits) — the
+same overhead-amortization argument as the paper's SAS dispatch model.  A
+faulted phase costs one more ``dispatch_overhead_us``.
 """
 
 from __future__ import annotations
@@ -77,15 +81,10 @@ from repro.config import ReproConfig
 from repro.env.diff import octree_delta_regions
 from repro.env.octree import Octree
 from repro.geometry.aabb import AABB
-from repro.planning.engine import SequentialEngine
 from repro.planning.recorder import CDTraceRecorder
 from repro.resilience.deadline import DeadlineBudget
 from repro.resilience.degradation import degradation_histogram
-from repro.resilience.faults import (
-    EngineTimeoutFault,
-    FaultInjector,
-    TransientEngineFault,
-)
+from repro.resilience.faults import FaultInjector, TransientEngineFault
 from repro.robot.model import RobotModel
 from repro.serving.admission import (
     AdmissionController,
@@ -99,7 +98,6 @@ __all__ = [
     "PlanResponse",
     "ServiceReport",
     "PlanningService",
-    "group_pending_by_epoch",
 ]
 
 
@@ -424,42 +422,27 @@ class _Task:
         self.cancelled = False
         self.status = "completed"
         self.env_epoch = env_epoch
-        self.retries = 0
-
-
-def group_pending_by_epoch(pending: List[_Task]) -> List[List[_Task]]:
-    """Partition pending tasks into flush groups by environment epoch.
-
-    Groups are ordered by epoch (oldest first) and preserve scheduling
-    order within a group, so a flush window never mixes requests planning
-    against different octree versions — requests sharing an epoch coalesce
-    into the same vectorized dispatch and share its cache locality.  (The
-    service only changes epochs while nothing is in flight, so at runtime
-    a single drain sees one group; the partition is the documented routing
-    rule and is unit-tested directly.)
-    """
-    groups: Dict[int, List[_Task]] = {}
-    for task in pending:
-        groups.setdefault(task.env_epoch, []).append(task)
-    return [groups[epoch] for epoch in sorted(groups)]
+        self.retries = 0  # injected faults drawn by the pending phase
 
 
 class PlanningService:
     """Deterministic multi-client planning service over one environment.
 
-    ``config`` is a :class:`~repro.config.ReproConfig`; its ``service``
-    section selects the mode (``"batched"`` coalesces phases across
-    requests, ``"sequential"`` is the single-client baseline), the batch
-    window, admission limits, the simulated cost model, and the overload
-    policy (admission control, fairness, preemption).  ``config.cache``
-    controls the shared octree-versioned verdict cache.
+    ``config`` is a :class:`~repro.config.ReproConfig` with the batch
+    backend (:meth:`~repro.config.ReproConfig.for_service`); its
+    ``service`` section sets the batch window, admission limits, the
+    simulated cost model, and the overload policy (admission control,
+    fairness, preemption).  ``config.cache`` controls the shared
+    octree-versioned verdict cache.  Every phase of every request is
+    answered by one shared :class:`~repro.serving.batcher.
+    CrossRequestBatcher`.
 
     Fault injection is configured through the typed config:
     ``ServiceConfig(fault_models=..., fault_seed=...)`` builds the
-    service-owned :class:`repro.resilience.faults.FaultInjector` threaded
-    through per-request checkers and sequential-mode engines; engine phase
-    faults are retried up to ``max_fault_retries`` times before the request
-    fails with ``status="failed"`` (and no path).
+    service-owned :class:`repro.resilience.faults.FaultInjector`, which
+    draws one engine fault per pending phase each round; a phase is
+    retried up to ``max_fault_retries`` times before the request fails
+    with ``status="failed"`` (and no path).
 
     ``cache=`` injects an externally owned cache — the fleet's hook for
     mounting a :class:`~repro.collision.cache.TieredCollisionCache` per
@@ -476,12 +459,11 @@ class PlanningService:
     ):
         if config is None:
             config = ReproConfig.for_service()
-        if config.service.mode == "batched" and config.backend != "batch":
+        if config.backend != "batch":
             raise ValueError(
-                "service mode 'batched' requires backend 'batch' "
+                "the planning service requires backend 'batch' "
                 "(cross-request coalescing dispatches through the vectorized "
-                "pipeline); use ReproConfig.for_service() or service mode "
-                "'sequential'"
+                "pipeline); use ReproConfig.for_service()"
             )
         self.robot = robot
         self.octree = octree
@@ -531,14 +513,7 @@ class PlanningService:
                 telemetry=telemetry,
             )
 
-        self.batcher: Optional[CrossRequestBatcher] = None
-        self._shared_evaluator = None
-        if config.service.mode == "batched":
-            shared = RobotEnvironmentChecker.from_config(
-                robot, octree, config, cache=self.cache
-            )
-            self._shared_evaluator = shared.batch_evaluator
-            self.batcher = CrossRequestBatcher(shared)
+        self._build_batcher()
 
     # ------------------------------------------------------------------
     # Submission / environment
@@ -619,9 +594,8 @@ class PlanningService:
         Advances the environment epoch and selectively invalidates the
         shared cache from the changed-region boxes.  Returns the number of
         cache entries dropped.  Because the epoch can only change while
-        nothing is queued or in flight, every task in a drain shares one
-        epoch — the invariant behind :func:`group_pending_by_epoch`'s
-        single-group fast path.
+        nothing is queued, in flight, or due to arrive, every task in a
+        drain plans against one octree and no flush mixes epochs.
         """
         regions = octree_delta_regions(self.octree, octree)
         return self.apply_environment_update(
@@ -659,13 +633,16 @@ class PlanningService:
         dropped = 0
         if self.cache is not None:
             dropped = self.cache.invalidate_regions(regions)
-        if self.batcher is not None:
-            shared = RobotEnvironmentChecker.from_config(
-                self.robot, octree, self.config, cache=self.cache
-            )
-            self._shared_evaluator = shared.batch_evaluator
-            self.batcher = CrossRequestBatcher(shared)
+        self._build_batcher()
         return dropped
+
+    def _build_batcher(self) -> None:
+        """The shared vectorized checker every phase is answered through."""
+        shared = RobotEnvironmentChecker.from_config(
+            self.robot, self.octree, self.config, cache=self.cache
+        )
+        self._shared_evaluator = shared.batch_evaluator
+        self.batcher = CrossRequestBatcher(shared)
 
     def _effective_deadline_ms(self, request: PlanRequest) -> Optional[float]:
         if request.deadline_ms is not None:
@@ -674,18 +651,12 @@ class PlanningService:
 
     def _make_task(self, request: PlanRequest, arrival_us: float) -> _Task:
         checker = RobotEnvironmentChecker.from_config(
-            self.robot,
-            self.octree,
-            self.config,
-            cache=self.cache,
-            fault_injector=self.fault_injector,
+            self.robot, self.octree, self.config, cache=self.cache
         )
-        if self._shared_evaluator is not None:
-            # All requests share one vectorized pipeline (it is stateless
-            # apart from precomputed octree arrays).
-            checker._batch_evaluator = self._shared_evaluator
-        engine = SequentialEngine(checker, fault_injector=self.fault_injector)
-        recorder = CDTraceRecorder(checker, engine=engine)
+        # All requests share one vectorized pipeline (it is stateless apart
+        # from precomputed octree arrays).
+        checker._batch_evaluator = self._shared_evaluator
+        recorder = CDTraceRecorder(checker)
         planner = self._make_planner(request, recorder)
         rng = np.random.default_rng(request.seed)
         gen = planner.plan_steps(request.q_start, request.q_goal, rng)
@@ -738,18 +709,9 @@ class PlanningService:
         Deterministic: same requests + config -> same responses, shed set,
         clock, and dispatch sequence.
         """
-        start_dispatches = (
-            self.batcher.dispatches if self.batcher is not None else 0
-        )
-        start_phases = (
-            self.batcher.phases_answered if self.batcher is not None else 0
-        )
-        start_poses = (
-            self.batcher.poses_dispatched if self.batcher is not None else 0
-        )
-        seq_dispatches = 0
-        seq_phases = 0
-        seq_poses = 0
+        start_dispatches = self.batcher.dispatches
+        start_phases = self.batcher.phases_answered
+        start_poses = self.batcher.poses_dispatched
         rounds = 0
 
         while self._queue_depth() or self._inflight or self._arrivals:
@@ -764,21 +726,9 @@ class PlanningService:
             self._admit()
             if not self._inflight:
                 continue
-            if self.config.service.mode == "batched":
-                self._round_batched()
-            else:
-                d, p, n = self._round_sequential()
-                seq_dispatches += d
-                seq_phases += p
-                seq_poses += n
+            self._round_batched()
         self.rounds += rounds
 
-        if self.batcher is not None:
-            dispatches = self.batcher.dispatches - start_dispatches
-            phases = self.batcher.phases_answered - start_phases
-            poses = self.batcher.poses_dispatched - start_poses
-        else:
-            dispatches, phases, poses = seq_dispatches, seq_phases, seq_poses
         status_counts: Dict[str, int] = {}
         for response in self._responses.values():
             status_counts[response.status] = (
@@ -788,9 +738,9 @@ class PlanningService:
             responses=dict(self._responses),
             sim_ms=self.clock_us / 1e3,
             rounds=rounds,
-            dispatches=dispatches,
-            phases_answered=phases,
-            poses_dispatched=poses,
+            dispatches=self.batcher.dispatches - start_dispatches,
+            phases_answered=self.batcher.phases_answered - start_phases,
+            poses_dispatched=self.batcher.poses_dispatched - start_poses,
             cache_counters=self.cache.counters() if self.cache else None,
             status_counts=status_counts,
             shed_counts=(
@@ -840,7 +790,13 @@ class PlanningService:
         self._inflight.append(task)
 
     def _round_batched(self) -> None:
-        """One scheduling round: advance every task, flush phase windows."""
+        """One scheduling round: advance every task, flush phase windows.
+
+        A task still holding a phase from a faulted round keeps it; every
+        other task resumes to its next phase.  Injected engine faults are
+        drawn per pending phase in scheduling order, and the tasks that
+        draw none flush in windows of ``batch_window``.
+        """
         service = self.config.service
         pending: List[_Task] = []
         for task in list(self._inflight):
@@ -848,77 +804,57 @@ class PlanningService:
                 continue
             if self._preempt_if_over_budget(task):
                 continue
-            item = self._advance(task)
-            if task.done:
-                self._finish(task)
-            elif item is not None:
-                task.pending_item = item
-                pending.append(task)
+            if task.pending_item is None:
+                task.pending_item = self._advance(task)
+                if task.done:
+                    self._finish(task)
+                    continue
+            pending.append(task)
+
+        injector = self.fault_injector
+        if injector is not None and injector.enabled:
+            pending = [task for task in pending if not self._faulted(task)]
 
         window = service.batch_window
-        for group in group_pending_by_epoch(pending):
-            for at in range(0, len(group), window):
-                chunk = group[at : at + window]
-                items = [
-                    (task.recorder, task.pending_item[1]) for task in chunk
-                ]
-                answers, report = self.batcher.flush(items)
-                self.clock_us += (
-                    service.dispatch_overhead_us
-                    + service.batch_pose_cost_us * report.fresh_rows
-                    + service.cache_hit_cost_us * report.cached_rows
-                )
-                for task, answer in zip(chunk, answers):
-                    query, phase = task.pending_item
-                    task.pending_item = None
-                    task.pending_value = task.recorder.commit(
-                        query, phase, answer
-                    )
-
-    def _round_sequential(self):
-        """Baseline: run the single oldest in-flight request to completion."""
-        service = self.config.service
-        task = self._inflight[0]
-        dispatches = phases = poses = 0
-        while not task.done:
-            if self._cancel_if_expired(task):
-                return dispatches, phases, poses
-            if self._preempt_if_over_budget(task):
-                return dispatches, phases, poses
-            item = self._advance(task)
-            if item is None:
-                break
-            query, phase = item
-            checks_before = task.recorder.checker.stats.pose_checks
-            answer = None
-            while answer is None:
-                try:
-                    answer = task.recorder.engine.answer(phase)
-                except (TransientEngineFault, EngineTimeoutFault):
-                    # Injected engine fault: charge a retry dispatch and
-                    # re-answer the same phase, up to the configured bound;
-                    # past it the request fails — no path is ever emitted
-                    # from a faulted, unvalidated phase.
-                    task.retries += 1
-                    self.clock_us += service.dispatch_overhead_us
-                    if task.retries > service.max_fault_retries:
-                        task.status = "failed"
-                        task.done = True
-                        task.gen.close()
-                        break
-            if answer is None:
-                break
-            charged = task.recorder.checker.stats.pose_checks - checks_before
-            task.pending_value = task.recorder.commit(query, phase, answer)
-            dispatches += 1
-            phases += 1
-            poses += charged
+        for at in range(0, len(pending), window):
+            chunk = pending[at : at + window]
+            items = [(task.recorder, task.pending_item[1]) for task in chunk]
+            answers, report = self.batcher.flush(items)
             self.clock_us += (
-                service.dispatch_overhead_us + service.pose_cost_us * charged
+                service.dispatch_overhead_us
+                + service.batch_pose_cost_us * report.fresh_rows
+                + service.cache_hit_cost_us * report.cached_rows
             )
-        if task.done:
-            self._finish(task)
-        return dispatches, phases, poses
+            for task, answer in zip(chunk, answers):
+                query, phase = task.pending_item
+                task.pending_item = None
+                task.retries = 0
+                task.pending_value = task.recorder.commit(query, phase, answer)
+
+    def _faulted(self, task: _Task) -> bool:
+        """Draw the injected engine fault for a task's pending phase.
+
+        A fault charges one ``dispatch_overhead_us`` and leaves the phase
+        pending for the next round; past ``max_fault_retries`` faults on
+        the same phase the request fails — no path is ever emitted from a
+        faulted, unanswered phase.  (Timeouts subclass the transient
+        fault.)
+        """
+        phase = task.pending_item[1]
+        try:
+            self.fault_injector.engine_phase(phase.label or phase.mode.value)
+        except TransientEngineFault:
+            service = self.config.service
+            task.retries += 1
+            self.clock_us += service.dispatch_overhead_us
+            if task.retries > service.max_fault_retries:
+                task.status = "failed"
+                task.pending_item = None
+                task.done = True
+                task.gen.close()
+                self._finish(task)
+            return True
+        return False
 
     def _advance(self, task: _Task):
         """Resume a task's generator to its next non-degenerate query.

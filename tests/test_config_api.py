@@ -61,10 +61,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="backend 'batch'"):
             ReproConfig(engine=EngineConfig(kind="batch"))
 
-    def test_bad_service_mode(self):
-        with pytest.raises(ValueError, match="batched"):
-            ServiceConfig(mode="threads")
-
     def test_positive_fields(self):
         with pytest.raises(ValueError, match="quantum"):
             CacheConfig(quantum=0.0)
@@ -110,15 +106,31 @@ class TestValidation:
         assert from_fleet.fleet.n_shards == 3
         assert ReproConfig.for_fleet().fleet.n_shards == 1
 
-    def test_batched_service_rejects_fault_models(self):
-        """A batched flush never reaches the injector: reject, don't ignore."""
+    def test_service_rejects_fault_models_that_cannot_fire(self):
+        """The service has no SAS lanes or sensor and its flush never
+        reaches the bit-flip hook: those rates are rejected by name, not
+        ignored; the engine rates are served."""
         from repro.resilience.faults import FaultModels
 
-        models = FaultModels(engine_exception_rate=0.1)
-        with pytest.raises(ValueError, match="mode='sequential'"):
-            ServiceConfig(mode="batched", fault_models=models)
-        sequential = ServiceConfig(mode="sequential", fault_models=models)
-        assert sequential.fault_models is models
+        for name in (
+            "bit_flip_rate",
+            "lane_drop_rate",
+            "lane_stall_rate",
+            "sensor_dropout_rate",
+        ):
+            with pytest.raises(ValueError, match=name):
+                ServiceConfig(fault_models=FaultModels(**{name: 1.0}))
+        with pytest.raises(ValueError) as excinfo:
+            ServiceConfig(
+                fault_models=FaultModels(
+                    bit_flip_rate=0.1,
+                    sensor_dropout_rate=0.2,
+                    engine_exception_rate=0.1,
+                )
+            )
+        assert "['bit_flip_rate', 'sensor_dropout_rate']" in str(excinfo.value)
+        engine = FaultModels(engine_exception_rate=0.1, engine_timeout_rate=0.1)
+        assert ServiceConfig(fault_models=engine).fault_models is engine
 
 
 class TestRoundTrip:
@@ -169,6 +181,17 @@ class TestRoundTrip:
         data = ReproConfig.for_fleet(2).to_dict()
         data["fleet"]["workers"] = "process"
         with pytest.raises(ValueError, match="workers"):
+            ReproConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value", [("mode", "sequential"), ("pose_cost_us", 1.0)]
+    )
+    def test_removed_service_keys_rejected(self, key, value):
+        """A config saved with the removed sequential service mode or its
+        per-pose cost fails loudly, naming the key."""
+        data = ReproConfig.for_service().to_dict()
+        data["service"][key] = value
+        with pytest.raises(ValueError, match=key):
             ReproConfig.from_dict(data)
 
     def test_loaded_bad_enum_lists_choices(self, tmp_path):

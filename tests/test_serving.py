@@ -91,10 +91,17 @@ def _fingerprint(report):
 class TestDifferential:
     """Service (batched + cached) == each request alone, bit for bit."""
 
-    @pytest.mark.parametrize("mode", ["batched", "sequential"])
-    def test_service_matches_solo_reference(self, world, requests, mode):
+    @pytest.mark.parametrize(
+        "max_inflight", [8, 1], ids=["batched", "sequential"]
+    )
+    def test_service_matches_solo_reference(
+        self, world, requests, max_inflight
+    ):
+        """All requests in flight at once, or one after another."""
         _, octree, robot = world
-        config = ReproConfig.for_service(service=ServiceConfig(mode=mode))
+        config = ReproConfig.for_service(
+            service=ServiceConfig(max_inflight=max_inflight)
+        )
         service = PlanningService(robot, octree, config=config)
         for request in requests:
             service.submit(request)
@@ -248,7 +255,7 @@ class TestAdmissionAndDeadlines:
 
     def test_batched_mode_requires_batch_backend(self, world):
         _, octree, robot = world
-        with pytest.raises(ValueError, match="batch"):
+        with pytest.raises(ValueError, match="for_service"):
             PlanningService(robot, octree, config=ReproConfig())
 
     def test_priority_orders_sequential_completion(self, world, requests):
@@ -257,7 +264,7 @@ class TestAdmissionAndDeadlines:
             robot,
             octree,
             config=ReproConfig.for_service(
-                service=ServiceConfig(mode="sequential")
+                service=ServiceConfig(max_inflight=1)
             ),
         )
         by_priority = {}

@@ -7,8 +7,8 @@ service reproduces the pre-overload behavior exactly (pinned by
 ``tests/test_serving.py`` continuing to pass unmodified).  These tests pin
 the traffic generator's determinism and serialization, each typed shed
 reason, deficit-round-robin no-starvation, energy-budget preemption,
-FIFO-stable queue ordering, epoch-grouped flushing, and the per-status
-latency/throughput edge cases.
+FIFO-stable queue ordering, and the per-status latency/throughput edge
+cases.
 """
 
 import json
@@ -31,7 +31,6 @@ from repro.serving import (
     PlanningService,
     PlanRequest,
     TrafficSpec,
-    group_pending_by_epoch,
     overload_level,
     requests_from_trace,
 )
@@ -85,9 +84,8 @@ def _stub_request(rid, configs, n_phases=2, **kwargs):
     )
 
 
-def _sequential_config(**service_kwargs):
-    service_kwargs.setdefault("mode", "sequential")
-    return ReproConfig(service=ServiceConfig(**service_kwargs))
+def _service_config(**service_kwargs):
+    return ReproConfig.for_service(service=ServiceConfig(**service_kwargs))
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +164,7 @@ class TestTraffic:
 class TestShedding:
     def test_queue_full_sheds_typed(self, world, free_configs):
         _, octree, robot = world
-        config = _sequential_config(
+        config = _service_config(
             admission_control=True, max_queue_depth=2, max_inflight=1
         )
         service = PlanningService(robot, octree, config=config)
@@ -186,7 +184,7 @@ class TestShedding:
         self, world, free_configs
     ):
         _, octree, robot = world
-        config = _sequential_config(admission_control=True)
+        config = _service_config(admission_control=True)
         service = PlanningService(robot, octree, config=config)
         # floor_ms = dispatch_overhead_us/1e3 = 0.025ms; this deadline is
         # below one dispatch, hence provably infeasible.
@@ -203,7 +201,7 @@ class TestShedding:
 
     def test_expired_in_queue_shed_at_dequeue(self, world, free_configs):
         _, octree, robot = world
-        config = _sequential_config(
+        config = _service_config(
             admission_control=True, max_inflight=1
         )
         service = PlanningService(robot, octree, config=config)
@@ -221,7 +219,7 @@ class TestShedding:
 
     def test_best_effort_shed_under_overload(self, world, free_configs):
         _, octree, robot = world
-        config = _sequential_config(
+        config = _service_config(
             admission_control=True, max_queue_depth=4, max_inflight=1
         )
         service = PlanningService(robot, octree, config=config)
@@ -249,7 +247,7 @@ class TestShedding:
         pairs = [(free_configs[0], free_configs[1])]
 
         def drain():
-            config = _sequential_config(
+            config = _service_config(
                 admission_control=True, max_queue_depth=3, max_inflight=1
             )
             service = PlanningService(robot, octree, config=config)
@@ -273,9 +271,9 @@ class TestShedding:
     def test_batched_overload_survivors_match_solo_reference(
         self, world, free_configs
     ):
-        """Batched mode under overload: the shed set is deterministic and
-        every surviving request is still bit-identical to its solo
-        sequential scalar cache-off reference."""
+        """Under overload the shed set is deterministic and every
+        surviving request is still bit-identical to its solo sequential
+        scalar cache-off reference."""
         from repro.planning.recorder import CDTraceRecorder
         from repro.planning.rrt_connect import RRTConnectPlanner
 
@@ -295,7 +293,6 @@ class TestShedding:
         def drain():
             config = ReproConfig.for_service(
                 service=ServiceConfig(
-                    mode="batched",
                     admission_control=True,
                     max_queue_depth=2,
                     max_inflight=1,
@@ -372,9 +369,9 @@ class TestNoLoadBitIdentity:
                 report.rounds,
             )
 
-        plain = drain(_sequential_config())
+        plain = drain(_service_config())
         gated = drain(
-            _sequential_config(
+            _service_config(
                 admission_control=True, max_queue_depth=1000
             )
         )
@@ -389,7 +386,7 @@ class TestNoLoadBitIdentity:
 class TestFairness:
     def test_flooding_client_cannot_starve_others(self, world, free_configs):
         _, octree, robot = world
-        config = _sequential_config(
+        config = _service_config(
             fairness=True, fairness_quantum=1.0, max_inflight=1
         )
         service = PlanningService(robot, octree, config=config)
@@ -460,7 +457,7 @@ class TestFairness:
 class TestPreemption:
     def test_over_budget_request_is_preempted(self, world, free_configs):
         _, octree, robot = world
-        config = _sequential_config(preempt_energy_budget_pj=1.0)
+        config = _service_config(preempt_energy_budget_pj=1.0)
         service = PlanningService(robot, octree, config=config)
         service.submit(_stub_request("hog", free_configs, n_phases=50))
         report = service.run()
@@ -473,7 +470,7 @@ class TestPreemption:
     def test_no_budget_means_no_preemption(self, world, free_configs):
         _, octree, robot = world
         service = PlanningService(
-            robot, octree, config=_sequential_config()
+            robot, octree, config=_service_config()
         )
         service.submit(_stub_request("hog", free_configs, n_phases=50))
         report = service.run()
@@ -481,7 +478,7 @@ class TestPreemption:
 
 
 # ----------------------------------------------------------------------
-# Queue-ordering contract and epoch grouping.
+# Queue-ordering contract and the overload ladder.
 
 
 class TestOrderingAndEpochs:
@@ -490,7 +487,7 @@ class TestOrderingAndEpochs:
         (priority, arrival, sequence) — so simultaneous submissions are
         served in submission order, never reordered by heap internals."""
         _, octree, robot = world
-        config = _sequential_config(max_inflight=1)
+        config = _service_config(max_inflight=1)
         service = PlanningService(robot, octree, config=config)
         ids = [f"fifo-{i}" for i in range(10)]
         for rid in ids:
@@ -504,7 +501,7 @@ class TestOrderingAndEpochs:
     def test_priority_still_beats_fifo(self, world, free_configs):
         # The urgent request is submitted LAST; priority outranks FIFO.
         _, octree, robot = world
-        config = _sequential_config(max_inflight=1)
+        config = _service_config(max_inflight=1)
         service = PlanningService(robot, octree, config=config)
         service.submit(_stub_request("early-normal", free_configs))
         service.submit(_stub_request("late-urgent", free_configs, priority=-1))
@@ -513,20 +510,6 @@ class TestOrderingAndEpochs:
             report.responses.values(), key=lambda r: r.completed_ms
         )
         assert order[0].request_id == "late-urgent"
-
-    def test_group_pending_by_epoch_partitions_in_order(self):
-        class _T:
-            def __init__(self, name, epoch):
-                self.name = name
-                self.env_epoch = epoch
-
-        a0, b1, c0, d2 = _T("a", 0), _T("b", 1), _T("c", 0), _T("d", 2)
-        groups = group_pending_by_epoch([b1, a0, c0, d2])
-        assert [[t.name for t in g] for g in groups] == [
-            ["a", "c"],
-            ["b"],
-            ["d"],
-        ]
 
     def test_overload_level_ladder(self):
         assert overload_level(0, None) == DegradationLevel.FULL_REPLAN
@@ -546,7 +529,7 @@ class TestLatencyAndThroughputEdges:
         _, octree, robot = world
         # Every request provably infeasible: shed at arrival, clock never
         # advances — rates must be exactly 0.0, not a ZeroDivisionError.
-        config = _sequential_config(admission_control=True)
+        config = _service_config(admission_control=True)
         service = PlanningService(robot, octree, config=config)
         for i in range(3):
             service.submit(
@@ -560,7 +543,7 @@ class TestLatencyAndThroughputEdges:
 
     def test_latency_non_negative_for_every_status(self, world, free_configs):
         _, octree, robot = world
-        config = _sequential_config(
+        config = _service_config(
             admission_control=True,
             max_queue_depth=3,
             max_inflight=1,
@@ -585,7 +568,7 @@ class TestLatencyAndThroughputEdges:
 
     def test_cancelled_latency_well_defined(self, world, free_configs):
         _, octree, robot = world
-        config = _sequential_config(cancel_on_deadline_miss=True)
+        config = _service_config(cancel_on_deadline_miss=True)
         service = PlanningService(robot, octree, config=config)
         service.submit(
             _stub_request("doomed", free_configs, n_phases=60, deadline_ms=0.1)
