@@ -1,4 +1,4 @@
-"""Planner wall-clock under the three query engines: the batching payoff.
+"""Planner wall-clock under the two query engines: the batching payoff.
 
 Run standalone for a report::
 
@@ -15,9 +15,12 @@ roadmap query (CONNECTIVITY fan-outs).  Every engine sees the *identical*
 phase stream — a fresh rng with the same seed per engine, and the engine
 contract guarantees identical planner decisions — so the timing difference
 is purely the execution backend.  The guard asserts the batched engine
-beats the sequential engine by at least 3x; the simulated engine is
-reported (it prices every phase through SAS inline) but not guarded, since
-its cost is dominated by the simulation, not the collision substrate.
+beats the sequential engine by at least 3x.
+
+The ``batch_replay`` case is how a run gets priced: record through the
+batched engine, then replay the recorded phases through
+``SASSimulator(n_cdus=16, policy="mcsp")``, timed together.  It is
+reported but not guarded.
 
 The ``batch_swept`` configuration is the batched engine with the
 swept-motion prefilter (ISSUE 7): spans of poses certified collision-free
@@ -35,7 +38,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.accel.sas import SASSimulator
 from repro.collision.checker import RobotEnvironmentChecker
+from repro.config import EngineConfig
 from repro.env.generator import random_scene
 from repro.env.octree import Octree
 from repro.planning.engine import make_engine
@@ -55,12 +60,15 @@ SPEEDUP_FLOOR = 3.0
 #: engine's absolute gain (see ROADMAP item 2 for the absolute trajectory).
 SWEPT_SPEEDUP_FLOOR = 1.7
 
-#: (engine kind, checker backend, engine kwargs) per timed configuration.
+#: CDUs of the SAS replay that prices the ``batch_replay`` case.
+N_CDUS = 16
+
+#: (engine config, checker backend, price by SAS replay) per timed case.
 CONFIGS = {
-    "sequential": ("sequential", "scalar", {}),
-    "batch": ("batch", "batch", {}),
-    "batch_swept": ("batch", "batch", {"prefilter": True}),
-    "simulated": ("simulated", "scalar", {}),
+    "sequential": (EngineConfig(kind="sequential"), "scalar", False),
+    "batch": (EngineConfig(kind="batch"), "batch", False),
+    "batch_swept": (EngineConfig(kind="batch", prefilter=True), "batch", False),
+    "batch_replay": (EngineConfig(kind="batch"), "batch", True),
 }
 
 
@@ -71,15 +79,14 @@ def _workload(resolution: int = 16):
 
 
 def _run_engine(
-    robot, octree, engine_kind: str, backend: str, engine_kwargs: dict = {}
+    robot, octree, engine_config: EngineConfig, backend: str, replay: bool
 ) -> dict:
-    """One full PRM-build + query + shortcut pass under one engine."""
+    """One full PRM-build + query + shortcut pass under one engine, plus
+    (with ``replay``) the SAS replay that prices the recorded phases."""
     checker = RobotEnvironmentChecker(
         robot, octree, collect_stats=False, backend=backend
     )
-    kwargs = {"seed": SEED} if engine_kind == "simulated" else {}
-    kwargs.update(engine_kwargs)
-    engine = make_engine(engine_kind, checker, **kwargs)
+    engine = make_engine(engine_config, checker)
     recorder = CDTraceRecorder(checker, engine=engine)
     planner = PRMPlanner(recorder, n_samples=N_SAMPLES, k_neighbors=K_NEIGHBORS)
     rng = np.random.default_rng(SEED)
@@ -90,6 +97,11 @@ def _run_engine(
     path = planner.plan(q_start, q_goal, rng)
     if path is not None:
         path = greedy_shortcut(path, recorder)
+    priced = None
+    if replay:
+        priced = SASSimulator(n_cdus=N_CDUS, policy="mcsp", seed=SEED).run_phases(
+            recorder.phases
+        )
     elapsed = time.perf_counter() - start
     prefilter = getattr(engine, "prefilter", None)
     return {
@@ -99,6 +111,7 @@ def _run_engine(
         "poses": recorder.total_poses,
         "recorder": recorder,
         "prefilter": None if prefilter is None else prefilter.counters(),
+        "sim_cycles": None if priced is None else priced.cycles,
     }
 
 
@@ -113,11 +126,8 @@ def measure_engines(repeats: int = 2) -> dict:
     warm_scalar.check_pose(np.zeros(robot.dof))
 
     report = {}
-    for name, (engine_kind, backend, engine_kwargs) in CONFIGS.items():
-        runs = [
-            _run_engine(robot, octree, engine_kind, backend, engine_kwargs)
-            for _ in range(repeats)
-        ]
+    for name, case in CONFIGS.items():
+        runs = [_run_engine(robot, octree, *case) for _ in range(repeats)]
         best = min(runs, key=lambda r: r["seconds"])
         report[name] = {
             "seconds": best["seconds"],
@@ -125,6 +135,7 @@ def measure_engines(repeats: int = 2) -> dict:
             "poses": best["poses"],
             "path_len": None if best["path"] is None else len(best["path"]),
             "prefilter": best["prefilter"],
+            "sim_cycles": best["sim_cycles"],
         }
     report["speedup_batch"] = (
         report["sequential"]["seconds"] / report["batch"]["seconds"]
@@ -171,10 +182,7 @@ def test_engines_saw_identical_workloads():
     # A perf number over diverged workloads would be meaningless: every
     # engine must have issued the same phase stream and found the same path.
     robot, octree = _workload()
-    runs = {
-        name: _run_engine(robot, octree, kind, backend, engine_kwargs)
-        for name, (kind, backend, engine_kwargs) in CONFIGS.items()
-    }
+    runs = {name: _run_engine(robot, octree, *case) for name, case in CONFIGS.items()}
     reference = runs["sequential"]
     for name, run in runs.items():
         assert run["phases"] == reference["phases"], name
@@ -207,6 +215,8 @@ def write_artifact(report: dict, path: str) -> None:
             metrics["motions_certified"] = counters["motions_certified"]
             metrics["motions_tested"] = counters["motions_tested"]
             metrics["poses_certified"] = counters["poses_certified"]
+        if entry["sim_cycles"] is not None:
+            metrics["sim_cycles"] = entry["sim_cycles"]
         cases.append({"name": name, "metrics": metrics})
     payload = make_bench_payload(
         bench="planner_engines",
@@ -232,7 +242,7 @@ if __name__ == "__main__":
     for name in CONFIGS:
         entry = report[name]
         print(
-            f"{name:>11}: {entry['seconds']:.3f} s"
+            f"{name:>12}: {entry['seconds']:.3f} s"
             f"  ({entry['phases']} phases, {entry['poses']} poses"
             + (
                 f", path len {entry['path_len']})"
@@ -243,7 +253,7 @@ if __name__ == "__main__":
         if entry["prefilter"] is not None:
             counters = entry["prefilter"]
             print(
-                f"{'':>11}  prefilter: {counters['motions_certified']}/"
+                f"{'':>12}  prefilter: {counters['motions_certified']}/"
                 f"{counters['motions_tested']} motions certified "
                 f"(hit rate {counters['hit_rate']:.1%}, "
                 f"{counters['poses_certified']} poses skipped exact dispatch)"

@@ -27,6 +27,7 @@ import pytest
 
 from repro.accel.config import CECDUConfig, MPAccelConfig
 from repro.accel.runtime import RobotRuntime
+from repro.config import EngineConfig, ReproConfig
 from repro.env.scene import Scene
 from repro.geometry.aabb import AABB
 from repro.resilience import FaultInjector, FaultModels
@@ -54,10 +55,13 @@ def _run_loop(faults) -> None:
         scene=_scene(),
         config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
         scene_update=_update,
-        octree_resolution=32,
-        backend="batch",
-        engine="batch",
         faults=faults,
+        repro=ReproConfig(
+            backend="batch",
+            octree_resolution=32,
+            collect_stats=False,
+            engine=EngineConfig(kind="batch"),
+        ),
     )
     runtime.run(
         np.array([np.pi * 0.9, 0.0]),

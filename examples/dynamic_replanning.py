@@ -55,9 +55,9 @@ def main() -> int:
     scene = random_scene(seed=9, n_obstacles=5)
     octree = Octree.from_scene(scene, resolution=16)
     robot = baxter_arm()
-    # Deprecated string-kwarg construction, left in on purpose as the shim
-    # demo: it emits a DeprecationWarning and is pinned bit-identical to
-    # the typed path (make_checker / from_config) used everywhere else.
+    # Direct construction: ``backend=`` is an ordinary keyword beside
+    # ``collect_stats``, and builds the same checker as the typed path
+    # (make_checker / from_config) used everywhere else.
     checker = RobotEnvironmentChecker(
         robot, octree, collect_stats=False, backend="scalar"
     )

@@ -46,8 +46,9 @@ def main() -> None:
     #    recorded as a CD phase (motions + scheduler function mode) and
     #    answered by a query engine — here the batched one, which resolves
     #    each phase in a single vectorized dispatch.  Swapping
-    #    EngineConfig(kind=...) ("sequential", "batch", "simulated") never
-    #    changes the plan, only how it is computed.
+    #    EngineConfig(kind=...) ("sequential" or "batch") never changes the
+    #    plan, only how it is computed; the simulators price it afterwards
+    #    by replaying the recorded phases.
     recorder = make_recorder(robot, octree, repro_config)
     checker = recorder.checker
     planner = MPNetPlanner(

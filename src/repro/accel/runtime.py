@@ -40,7 +40,6 @@ bit-identical to it.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -54,7 +53,7 @@ from repro.accel.mpaccel import MPAccelSimulator
 from repro.accel.telemetry import MetricsRegistry
 from repro.collision.cache import CollisionCache
 from repro.collision.checker import RobotEnvironmentChecker
-from repro.config import EngineConfig, ReproConfig
+from repro.config import ReproConfig
 from repro.env.diff import octree_delta_regions
 from repro.env.mapping import scan_scene_points
 from repro.env.octree import Octree
@@ -63,16 +62,9 @@ from repro.planning.engine import make_engine
 from repro.planning.mpnet import MPNetPlanner, PlanResult
 from repro.planning.recorder import CDTraceRecorder
 from repro.planning.samplers import HeuristicSampler
-from repro.resilience.deadline import DeadlineBudget, TickTimer
+from repro.resilience.deadline import TickTimer
 from repro.resilience.degradation import DegradationLevel, degradation_histogram
 from repro.resilience.faults import FaultInjector, TransientEngineFault
-
-#: Collision-checker backends the runtime accepts.
-VALID_BACKENDS = ("scalar", "batch")
-#: Query engines the runtime accepts ("simulated" is rejected: the runtime
-#: already prices each tick through MPAccelSimulator, so routing planning
-#: through SAS as well would double-count the work).
-VALID_ENGINES = ("sequential", "batch")
 
 #: Retry policy used when engine faults fire but no DeadlineBudget is
 #: attached (resilience without deadlines still must not crash the loop).
@@ -243,26 +235,21 @@ class RobotRuntime:
     add obstacles) and returns True when something changed; ticks without
     changes only revalidate the current path.
 
-    ``repro`` (:class:`repro.config.ReproConfig`) is the typed way to wire
-    the planning stack: collision backend, query-engine kind, motion step,
-    octree resolution, resilience policy (deadline budget + audit flag),
-    and the optional collision cache all come from one validated bundle.
-    The legacy loose kwargs (``backend=``/``engine=`` strings, ``deadline=``,
-    ``audit=``) keep working but emit a :class:`DeprecationWarning`, and
-    cannot be combined with ``repro=``.
+    ``repro`` (:class:`repro.config.ReproConfig`) wires the planning stack:
+    collision backend, query-engine kind, motion step, octree resolution,
+    resilience policy (deadline budget + audit flag), and the optional
+    collision cache all come from one validated bundle.  ``repro=None``
+    runs the scalar sequential stack without per-operation stats,
+    ``ReproConfig(collect_stats=False)``; note that ``ReproConfig()``
+    itself collects them.
 
-    ``backend`` selects the collision checker implementation; with
-    ``"batch"`` the MPAccel simulator primes every CD phase's ground truth
-    through one vectorized dispatch before pricing it (bit-identical
-    verdicts, see :func:`repro.accel.sas.prime_phase`).  ``engine`` selects
-    the planner-side query engine (``"sequential"`` or ``"batch"``; see
-    :mod:`repro.planning.engine`) — with ``engine="batch"`` every planner
-    phase is answered by one vectorized dispatch *during* planning, which
-    both speeds up the tick and leaves the phases pre-primed for pricing.
-    The inline ``"simulated"`` engine is rejected here because the runtime
-    already prices each tick through :class:`MPAccelSimulator`; routing
-    planning through SAS as well would double-count the work.
-    ``telemetry`` receives a per-tick scope with the SAS counters.
+    With ``repro.backend="batch"`` the MPAccel simulator primes every CD
+    phase's ground truth through one vectorized dispatch before pricing it
+    (bit-identical verdicts, see :func:`repro.accel.sas.prime_phase`); with
+    ``repro.engine.kind="batch"`` every planner phase is answered by one
+    vectorized dispatch *during* planning, which both speeds up the tick
+    and leaves the phases pre-primed for pricing.  ``telemetry`` receives
+    a per-tick scope with the SAS counters.
 
     With ``repro.cache.enabled`` the runtime keeps one
     :class:`~repro.collision.cache.CollisionCache` across ticks: each tick's
@@ -273,22 +260,24 @@ class RobotRuntime:
 
     Resilience:
 
-    - ``deadline`` (:class:`~repro.resilience.deadline.DeadlineBudget`)
-      enforces a per-tick budget over the simulated tick cost (and wall
-      clock when ``wall_ms`` is set) and bounds transient-fault retries;
+    - ``repro.resilience`` (:class:`repro.config.ResilienceConfig`) with
+      ``sim_ms`` or ``wall_ms`` set builds a
+      :class:`~repro.resilience.deadline.DeadlineBudget` that enforces a
+      per-tick budget over the simulated tick cost (and wall clock when
+      ``wall_ms`` is set) and bounds transient-fault retries;
     - ``faults`` (:class:`~repro.resilience.faults.FaultInjector`) attaches
       the deterministic fault models to every layer the runtime builds
       (checker bit flips, SAS lane faults, engine phase faults) plus the
       sensor-dropout model handled here;
-    - ``audit=True`` keeps a flight-recorder list ``audit_trail`` of
-      ``(tick, path, octree)`` for every emitted path, so tests (or an
-      offline safety review) can re-validate each emission against the
-      exact octree it was checked under;
+    - ``repro.resilience.audit`` keeps a flight-recorder list
+      ``audit_trail`` of ``(tick, path, octree)`` for every emitted path,
+      so tests (or an offline safety review) can re-validate each emission
+      against the exact octree it was checked under;
     - ``clock`` is the wall-clock source for ``wall_ms`` budgets
       (injectable for deterministic tests).
 
-    With ``deadline=None`` and no active faults the loop is bit-identical
-    to the pre-resilience runtime (same calls, same rng draws).
+    With no deadline and no active faults the loop is bit-identical to the
+    pre-resilience runtime (same calls, same rng draws).
     """
 
     def __init__(
@@ -297,102 +286,25 @@ class RobotRuntime:
         scene: Scene,
         config: MPAccelConfig,
         scene_update: Callable[[Scene, int, np.random.Generator], bool],
-        octree_resolution: Optional[int] = None,
-        motion_step: Optional[float] = None,
-        backend: Optional[str] = None,
-        engine: Optional[str] = None,
         telemetry: MetricsRegistry | None = None,
-        deadline: DeadlineBudget | None = None,
         faults: FaultInjector | None = None,
-        audit: Optional[bool] = None,
         clock=time.perf_counter,
         repro: Optional[ReproConfig] = None,
     ):
-        if repro is not None:
-            overlapping = {
-                "octree_resolution": octree_resolution,
-                "motion_step": motion_step,
-                "backend": backend,
-                "engine": engine,
-                "deadline": deadline,
-                "audit": audit,
-            }
-            passed = sorted(k for k, v in overlapping.items() if v is not None)
-            if passed:
-                raise ValueError(
-                    f"got both repro= and the legacy kwarg(s) {passed}; "
-                    "express them through the ReproConfig instead"
-                )
-            if repro.engine.kind not in VALID_ENGINES:
-                raise ValueError(
-                    f"unknown engine {repro.engine.kind!r}; valid choices: "
-                    f"{list(VALID_ENGINES)} (the 'simulated' engine is not "
-                    "supported here: the runtime already prices ticks "
-                    "through MPAccelSimulator)"
-                )
-            self.repro = repro
-            deadline = repro.resilience.make_deadline()
-            audit = repro.resilience.audit
-        else:
-            legacy = sorted(
-                name
-                for name, value in (
-                    ("backend", backend),
-                    ("engine", engine),
-                    ("deadline", deadline),
-                    ("audit", audit),
-                )
-                if value is not None
-            )
-            if legacy:
-                warnings.warn(
-                    f"passing {legacy} to RobotRuntime directly is "
-                    "deprecated; wire them through "
-                    "RobotRuntime(..., repro=ReproConfig(...)) or "
-                    "repro.api.make_runtime",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            backend = "scalar" if backend is None else backend
-            engine = "sequential" if engine is None else engine
-            if backend not in VALID_BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; valid choices: {list(VALID_BACKENDS)}"
-                )
-            if engine not in VALID_ENGINES:
-                raise ValueError(
-                    f"unknown engine {engine!r}; valid choices: {list(VALID_ENGINES)} "
-                    "(the 'simulated' engine is not supported here: the runtime "
-                    "already prices ticks through MPAccelSimulator)"
-                )
-            if engine == "batch" and backend != "batch":
-                raise ValueError("engine='batch' requires backend='batch'")
-            self.repro = ReproConfig(
-                backend=backend,
-                motion_step=0.05 if motion_step is None else motion_step,
-                octree_resolution=(
-                    16 if octree_resolution is None else octree_resolution
-                ),
-                collect_stats=False,
-                engine=EngineConfig(kind=engine),
-            )
+        self.repro = ReproConfig(collect_stats=False) if repro is None else repro
         self.robot = robot
         self.scene = scene
         self.config = config
         self.scene_update = scene_update
-        self.octree_resolution = self.repro.octree_resolution
-        self.motion_step = self.repro.motion_step
-        self.backend = self.repro.backend
-        self.engine = self.repro.engine.kind
         self.telemetry = telemetry
-        self.deadline = deadline
+        self.deadline = self.repro.resilience.make_deadline()
         self.faults = faults
-        self.audit = bool(audit)
+        self.audit = self.repro.resilience.audit
         self._clock = clock
         self._previous_octree = None
         self._stack: Optional[tuple] = None
         self._last_validated_path: List[np.ndarray] = []
-        #: (tick, path, octree) per emitted path when ``audit=True``.
+        #: (tick, path, octree) per emitted path when auditing.
         self.audit_trail: List[tuple] = []
         #: Persistent verdict cache (``repro.cache.enabled``): survives the
         #: per-tick checker rebuild and is selectively invalidated from the
@@ -440,7 +352,9 @@ class RobotRuntime:
         return bits / (self.config.io_gbps * 1e9) * 1e3
 
     def _build_stack(self, rng):
-        octree = Octree.from_scene(self.scene, resolution=self.octree_resolution)
+        octree = Octree.from_scene(
+            self.scene, resolution=self.repro.octree_resolution
+        )
         if self._cache is not None:
             if self._cache_octree is not None:
                 self._cache.invalidate_regions(

@@ -18,11 +18,13 @@ work at the stop boundary: ``busy_cycles`` covers only CDU-cycles inside
 the measured window (so utilization is a true 0..1 fraction), and the
 in-flight remainder is reported as ``abandoned_cycles``.
 
-Phases reach the simulator two ways: post-hoc replay of a recorded trace
-(:meth:`SASSimulator.run_phases`), or inline during planning through
-:class:`repro.planning.engine.SimulatedEngine`, which runs each phase the
-moment the planner issues it.  With matching seed/policy/config and a
-deterministic pose ordering the two routes produce identical results.
+Phases reach the simulator as a replay of a recorded trace
+(:meth:`SASSimulator.run_phases`, or :meth:`SASSimulator.run` per phase):
+the planner records first through a query engine, and the trace is priced
+afterwards.  A trace recorded through
+:class:`repro.planning.engine.BatchedEngine` carries ground truth for every
+pose, so its replay needs no collision checker; replays of the sequential
+and the batched recording of one workload are equal phase for phase.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """The facade: build and run the stack from one typed config.
 
 Every entry point takes a :class:`repro.config.ReproConfig` (or defaults
-to one) and wires the layers without touching the deprecated string-kwarg
-constructors:
+to one) and wires the layers through it:
 
 - :func:`make_checker` — a collision checker (plus optional verdict cache)
   for one robot/octree pair;
@@ -22,8 +21,7 @@ constructors:
 
 The facade is intentionally thin: everything it builds can also be built
 directly from the underlying classes' ``from_config`` / typed-config
-paths.  CI runs the facade suite under ``-W error::DeprecationWarning`` to
-prove no legacy shim is hit internally.
+paths.
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ and checks the discrete poses (Section 2.2).
 from __future__ import annotations
 
 import math
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
@@ -115,21 +113,10 @@ class RobotEnvironmentChecker:
         motion_step: float = DEFAULT_MOTION_STEP,
         stats: Optional[CollisionStats] = None,
         collect_stats: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "scalar",
         fault_injector=None,
         cache: Optional[CollisionCache] = None,
     ):
-        if backend is None:
-            backend = "scalar"
-        else:
-            warnings.warn(
-                "passing backend= as a string to RobotEnvironmentChecker is "
-                "deprecated; build checkers with "
-                "RobotEnvironmentChecker.from_config(robot, octree, ReproConfig"
-                "(backend=...)) or through repro.api",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if backend not in ("scalar", "batch"):
             raise ValueError(
                 f"unknown backend {backend!r}; expected 'scalar' or 'batch'"
@@ -178,10 +165,10 @@ class RobotEnvironmentChecker:
     ) -> "RobotEnvironmentChecker":
         """Build a checker from a :class:`repro.config.ReproConfig`.
 
-        This is the non-deprecated construction path: backend, motion step,
-        and stats collection come from the typed config, and a
-        :class:`CollisionCache` is created from ``config.cache`` when
-        enabled (unless an explicit ``cache`` instance is shared in).
+        Backend, motion step, and stats collection come from the typed
+        config, and a :class:`CollisionCache` is created from
+        ``config.cache`` when enabled (unless an explicit ``cache`` instance
+        is shared in).
         """
         if cache is None and config.cache.enabled:
             cache = CollisionCache(
@@ -189,20 +176,18 @@ class RobotEnvironmentChecker:
                 max_entries=config.cache.max_entries,
                 telemetry=telemetry,
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(
-                robot,
-                octree,
-                cascade,
-                fixed_point,
-                motion_step=config.motion_step,
-                stats=stats,
-                collect_stats=config.collect_stats,
-                backend=config.backend,
-                fault_injector=fault_injector,
-                cache=cache,
-            )
+        return cls(
+            robot,
+            octree,
+            cascade,
+            fixed_point,
+            motion_step=config.motion_step,
+            stats=stats,
+            collect_stats=config.collect_stats,
+            backend=config.backend,
+            fault_injector=fault_injector,
+            cache=cache,
+        )
 
     def _bit_flips_active(self) -> bool:
         """Whether the quantized-OBB corruption hook can fire."""
@@ -245,25 +230,6 @@ class RobotEnvironmentChecker:
                 scratch=self.shared_scratch,
             )
         return self._batch_evaluator
-
-    @contextmanager
-    def divert_stats(self, stats: Optional[CollisionStats] = None):
-        """Temporarily charge all work to a different ``CollisionStats``.
-
-        Query engines use this when they must resolve ground truth beyond
-        what the sequential query semantics would have executed (e.g.
-        filling a phase's remaining poses before an inline SAS simulation):
-        the extra work is real, but it must not distort the planner-visible
-        operation counts.  Yields the substitute stats object.
-        """
-        if stats is None:
-            stats = CollisionStats()
-        previous = self.stats
-        self.stats = stats
-        try:
-            yield stats
-        finally:
-            self.stats = previous
 
     def link_obbs(self, q) -> List[OBB]:
         """World-space (quantized) link OBBs for configuration ``q``."""

@@ -10,7 +10,7 @@ layer (the multi-client planning service) would have added a fourth.
 This module replaces them with frozen dataclasses:
 
 - :class:`EngineConfig` — which query engine answers planner CD phases and
-  how the simulated one is parameterized;
+  whether the batched one runs the swept-motion prefilter;
 - :class:`ResilienceConfig` — the per-tick deadline budget, retry policy,
   and audit flag (:mod:`repro.resilience`);
 - :class:`CacheConfig` — the octree-versioned collision cache
@@ -28,12 +28,14 @@ Every config is immutable, validates its fields on construction with
 error messages that list the valid choices, and round-trips through
 ``to_dict``/``from_dict`` (and JSON via
 :func:`repro.harness.serialization.save_config`).  ``from_dict`` rejects
-unknown keys by name so a typo in a saved config fails loudly.
+unknown keys by name, so a typo in a saved config — or a key a later
+version removed — fails loudly.
 
-The legacy string kwargs keep working everywhere they existed, but emit a
-:class:`DeprecationWarning`; the library itself only builds through the
-typed path (CI runs the new-API suite under ``-W error::DeprecationWarning``
-to prove it).
+The typed configs are the only way to select an engine
+(:func:`repro.planning.engine.make_engine` takes an :class:`EngineConfig`)
+or to wire :class:`repro.accel.runtime.RobotRuntime` (``repro=``).  The
+checker's ``backend=`` keyword is an ordinary validated argument beside
+``motion_step`` and ``collect_stats``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ __all__ = [
 #: Collision-checker backends (see :class:`repro.collision.checker`).
 BACKENDS = ("scalar", "batch")
 #: Query-engine kinds (see :mod:`repro.planning.engine`).
-ENGINE_KINDS = ("sequential", "batch", "simulated")
+ENGINE_KINDS = ("sequential", "batch")
 #: Planner kinds the facade and the serving layer can instantiate.
 PLANNERS = ("rrt", "rrt_connect", "prm", "mpnet")
 #: Fleet request-routing policies (see :class:`repro.serving.router.FleetRouter`).
@@ -132,25 +134,21 @@ def config_from_dict(cls: Type[_C], data: dict) -> _C:
 class EngineConfig:
     """Which :class:`~repro.planning.engine.QueryEngine` answers CD phases.
 
-    ``n_cdus``/``policy``/``seed``/``check_invariants``/``record_timeline``
-    only matter for ``kind="simulated"`` (they parameterize the inline SAS
-    run); ``prefilter`` only matters for ``kind="batch"`` (it enables the
-    conservative swept-motion prefilter,
-    :class:`~repro.planning.swept.SweptMotionPrefilter`); the other kinds
-    ignore them.
+    ``prefilter`` enables the batched engine's conservative swept-motion
+    prefilter (:class:`~repro.planning.swept.SweptMotionPrefilter`); the
+    sequential engine has none, so asking it for one is rejected.
     """
 
     kind: str = "sequential"
-    n_cdus: int = 16
-    policy: str = "mcsp"
-    seed: int = 0
-    check_invariants: bool = True
-    record_timeline: bool = False
     prefilter: bool = False
 
     def __post_init__(self):
         _check_choice("engine kind", self.kind, ENGINE_KINDS)
-        _check_positive("n_cdus", self.n_cdus)
+        if self.prefilter and self.kind != "batch":
+            raise ValueError(
+                f"prefilter=True needs engine kind 'batch', got {self.kind!r} "
+                "(only the batched engine runs the swept-motion prefilter)"
+            )
 
     def to_dict(self) -> dict:
         return config_to_dict(self)
@@ -274,7 +272,9 @@ class ServiceConfig:
     vectorized flush never reaches the scalar bit-flip hook, so a nonzero
     ``bit_flip_rate``, ``lane_drop_rate``, ``lane_stall_rate`` or
     ``sensor_dropout_rate`` is rejected here rather than left silently
-    inert.
+    inert.  For the same reason a non-default ``fault_seed`` or
+    ``max_fault_retries`` without ``fault_models`` is rejected: with no
+    injector, nothing reads them.
     """
 
     batch_window: int = 8
@@ -310,6 +310,18 @@ class ServiceConfig:
             )
         _check_non_negative("max_fault_retries", self.max_fault_retries)
         if self.fault_models is None:
+            fields = self.__dataclass_fields__
+            inert = [
+                name
+                for name in ("max_fault_retries", "fault_seed")
+                if getattr(self, name) != fields[name].default
+            ]
+            if inert:
+                raise ValueError(
+                    f"field(s) {inert} only matter with fault_models set "
+                    "(no fault injector is built without it); set "
+                    "fault_models or leave them at their defaults"
+                )
             return
         if not isinstance(self.fault_models, FaultModels):
             raise TypeError(

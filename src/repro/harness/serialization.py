@@ -315,8 +315,8 @@ def load_sas_run(path: str) -> tuple:
 # ----------------------------------------------------------------------
 # Engine run serialization: the phase stream a planner issued through a
 # query engine (labels, function modes, precomputed ground truth) together
-# with the per-phase answers and — for SimulatedEngine runs — the inline
-# SAS results.  A saved engine run can be re-audited offline: replay the
+# with the per-phase answers and, optionally, the per-phase SAS results of
+# a replay.  A saved engine run can be re-audited offline: replay the
 # phases through any engine and compare answers, or hand each
 # (phase, sas_result) pair to ``repro.accel.invariants.check_sas_result``.
 
@@ -339,20 +339,17 @@ def save_engine_run(
     """Write a recorder's phase trace plus the engine's answers.
 
     ``recorder`` is a :class:`repro.planning.recorder.CDTraceRecorder`
-    whose ``phases``/``answers`` lists are serialized in lockstep.  When
-    ``sas_results`` is omitted and the recorder's engine is a
-    :class:`~repro.planning.engine.SimulatedEngine`, its accumulated
-    per-phase results are included automatically, making the file
+    whose ``phases``/``answers`` lists are serialized in lockstep.
+    ``sas_results`` (one :class:`SASResult` per phase, e.g. from
+    ``[simulator.run(phase) for phase in recorder.phases]``) makes the file
     self-contained for offline invariant re-audit.
     """
-    if sas_results is None:
-        sas_results = list(getattr(recorder.engine, "results", []))
     payload = {
         "version": SCHEMA_VERSION,
         "engine": recorder.engine.name,
         "phases": [phase_to_dict(p) for p in recorder.phases],
         "answers": [list(a.outcomes) for a in recorder.answers],
-        "sas_results": [sas_result_to_dict(r) for r in sas_results],
+        "sas_results": [sas_result_to_dict(r) for r in sas_results or []],
     }
     with open(path, "w") as handle:
         json.dump(payload, handle)

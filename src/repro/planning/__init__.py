@@ -6,10 +6,9 @@ greedy shortcutting (path optimization), and an MPNet-style learning-based
 planner.  Every collision query a planner issues flows through a
 :class:`CDTraceRecorder`, which captures the *phases* (groups of motions plus
 a scheduler function mode) and delegates answering them to a pluggable
-:class:`QueryEngine` — sequential reference, one-dispatch batched, or
-inline SAS simulation (see :mod:`repro.planning.engine`).  The SAS and
-MPAccel simulators replay the recorded phases (or, with the simulated
-engine, price them as the planner runs).
+:class:`QueryEngine` — the sequential reference or the one-dispatch
+batched engine (see :mod:`repro.planning.engine`).  The SAS and MPAccel
+simulators price a run by replaying its recorded phases.
 """
 
 from repro.planning.cspace import path_length, straight_line_path
@@ -18,7 +17,6 @@ from repro.planning.engine import (
     PhaseAnswer,
     QueryEngine,
     SequentialEngine,
-    SimulatedEngine,
     make_engine,
 )
 from repro.planning.metrics import PathQuality, evaluate_path, path_smoothness
@@ -58,7 +56,6 @@ __all__ = [
     "PhaseAnswer",
     "SequentialEngine",
     "BatchedEngine",
-    "SimulatedEngine",
     "make_engine",
     "RRTPlanner",
     "RRTConnectPlanner",

@@ -2,35 +2,31 @@
 
 Planners describe their collision workload as :class:`CDPhase`s (motions +
 a scheduler function mode) and hand them to :class:`CDTraceRecorder`, which
-delegates *answering* to a :class:`QueryEngine`.  Three interchangeable
+delegates *answering* to a :class:`QueryEngine`.  Two interchangeable
 backends implement the same semantics contract:
 
 - :class:`SequentialEngine` — the early-exiting sequential reference a CPU
   implementation would run (motions in order, poses front to back, stop as
   soon as the function mode allows).  This is the default and the ground
-  truth the other engines are differential-tested against.
+  truth the batched engine is differential-tested against.
 - :class:`BatchedEngine` — answers a whole phase with **one** vectorized
   ``BatchPoseEvaluator`` dispatch over every undecided pose (the VAMP /
   pRRTC strategy), then charges the checker's :class:`CollisionStats` for
   exactly the pose prefix the sequential early exit would have executed.
   Verdicts *and* operation counts are bit-identical to the sequential
   engine; only wall-clock changes.  Requires a ``backend="batch"`` checker.
-- :class:`SimulatedEngine` — routes each phase through an inline
-  :class:`~repro.accel.sas.SASSimulator` run, so a planner run produces
-  cycle/energy numbers and (optionally invariant-audited)
-  :class:`~repro.accel.sas.SASResult`s *as it plans*, instead of via
-  post-hoc trace replay.  Ground truth beyond the sequential prefix is
-  resolved up front (vectorized with a batch checker, scalar otherwise)
-  and its cost is diverted to ``shadow_stats`` so the planner-visible
-  operation counts still match the sequential reference exactly.
 
-The semantics guarantee all three share: for the same phase stream, the
+The semantics guarantee both share: for the same phase stream, the
 per-motion verdicts (and therefore every planner decision, path, and the
-checker's recorded ``CollisionStats``) are identical.  The engines differ
-only in how the ground truth is *computed* (lazy scalar loop, one
-vectorized dispatch, primed dispatch + cycle-accurate simulation) and in
-what side products they leave behind (nothing, a warm outcome cache, a
-stream of ``SASResult``s).
+checker's recorded ``CollisionStats``) are identical.
+
+Engines only answer; they do not price.  Cycle and energy numbers come
+from replaying the recorded trace through
+:meth:`repro.accel.sas.SASSimulator.run_phases` (or the MPAccel
+simulator).  A batched recording leaves every pose of every phase with
+cached ground truth, so that replay needs no collision substrate, and the
+replay of a sequential and of a batched recording of the same workload
+are equal phase for phase.
 """
 
 from __future__ import annotations
@@ -40,6 +36,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
+from repro.config import EngineConfig
 from repro.planning.motion import CDPhase, FunctionMode
 
 if TYPE_CHECKING:  # import at runtime would cycle through repro.accel
@@ -50,8 +47,6 @@ __all__ = [
     "QueryEngine",
     "SequentialEngine",
     "BatchedEngine",
-    "SimulatedEngine",
-    "ENGINE_KINDS",
     "make_engine",
     "walk_warm_phase",
 ]
@@ -473,151 +468,21 @@ class BatchedEngine(QueryEngine):
         return _batched_prime_and_answer(phase, checker, prefilter=self._prefilter)
 
 
-class SimulatedEngine(QueryEngine):
-    """Answers phases by running them through SAS inline while planning.
+def make_engine(config, checker, telemetry=None, **kwargs) -> QueryEngine:
+    """Build the query engine an :class:`repro.config.EngineConfig` selects.
 
-    Each phase is ground-truth-resolved up front, simulated on the wrapped
-    :class:`~repro.accel.sas.SASSimulator` (one :class:`SASResult` appended
-    to ``results`` per phase, invariant-audited when ``check_invariants``),
-    and answered with the sequential reference — so planner decisions,
-    paths, and recorded ``CollisionStats`` match the other engines exactly
-    while cycle/energy numbers accumulate as the planner runs.
-
-    Ground-truth resolution depends on the checker backend:
-
-    - ``backend="batch"``: one vectorized dispatch per phase with
-      sequential prefix charging (identical to :class:`BatchedEngine`);
-    - scalar: the sequential prefix is evaluated lazily (charging the
-      checker normally), then the remaining poses the simulator may probe
-      are filled with the charges diverted to ``shadow_stats`` — the extra
-      work is real, but it belongs to the simulation, not to the planner's
-      query stream;
-    - ``checker=None``: phases must carry precomputed outcomes (the
-      serialized-trace replay workflow).
-
-    The inline results equal a post-hoc
-    :meth:`~repro.accel.sas.SASSimulator.run_phases` replay of the same
-    recorded trace when simulator seed, policy, and configuration match
-    and the policy's pose ordering is deterministic (every non-random
-    Figure 7 policy, including the default MCSP).
+    ``config.kind`` picks the engine and ``config.prefilter`` turns on the
+    batched engine's swept-motion prefilter.  Extra keyword arguments are
+    forwarded to the engine constructor (e.g. ``fault_injector``).
     """
-
-    name = "simulated"
-
-    def __init__(
-        self,
-        checker=None,
-        simulator=None,
-        n_cdus: int = 16,
-        policy="mcsp",
-        config=None,
-        latency_model=None,
-        seed: int = 0,
-        telemetry: MetricsRegistry | None = None,
-        check_invariants: bool = True,
-        record_timeline: bool = False,
-        fault_injector=None,
-    ):
-        super().__init__(checker, telemetry, fault_injector=fault_injector)
-        if simulator is None:
-            from repro.accel.sas import SASSimulator, unit_latency_model
-
-            simulator = SASSimulator(
-                n_cdus=n_cdus,
-                policy=policy,
-                config=config,
-                latency_model=latency_model or unit_latency_model,
-                seed=seed,
-                telemetry=telemetry,
-                check_invariants=check_invariants,
-                fault_injector=fault_injector,
-            )
-        self.simulator = simulator
-        self.record_timeline = record_timeline
-        #: One SASResult per answered phase, in phase order.
-        self.results: List = []
-        #: Collision work performed only to feed the simulator (scalar
-        #: checkers): ground truth past the sequential early-exit boundary.
-        from repro.collision.stats import CollisionStats
-
-        self.shadow_stats = CollisionStats()
-
-    def _answer(self, phase: CDPhase) -> PhaseAnswer:
-        checker = self.checker
-        if (
-            checker is not None
-            and getattr(checker, "backend", "scalar") == "batch"
-            and not checker._bit_flips_active()
-        ):
-            answer = _batched_prime_and_answer(phase, checker)
-        else:
-            answer = PhaseAnswer(
-                outcomes=list(phase.sequential_reference().outcomes)
-            )
-            if checker is not None:
-                with checker.divert_stats(self.shadow_stats):
-                    for motion in phase.motions:
-                        motion.evaluate_all()
-        result = self.simulator.run(phase, record_timeline=self.record_timeline)
-        self.results.append(result)
-        return answer
-
-    # -- inline-simulation accessors -----------------------------------
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(result.cycles for result in self.results)
-
-    @property
-    def total_tests(self) -> int:
-        return sum(result.tests for result in self.results)
-
-    @property
-    def total_energy_pj(self) -> float:
-        return sum(result.energy_pj for result in self.results)
-
-    def clear(self) -> None:
-        self.results.clear()
-        self.shadow_stats.reset()
-
-
-#: Engine-kind names accepted by :func:`make_engine`.
-ENGINE_KINDS = ("sequential", "batch", "simulated")
-
-
-def make_engine(kind, checker, telemetry=None, **kwargs) -> QueryEngine:
-    """Build a query engine from an :class:`repro.config.EngineConfig`.
-
-    ``kind`` may be an ``EngineConfig`` (the typed API: its ``kind``,
-    ``n_cdus``, ``policy``, ``seed``, ``check_invariants``, and
-    ``record_timeline`` fields select and parameterize the engine) or —
-    deprecated — a bare string (``"sequential"``/``"batch"``/
-    ``"simulated"``).  Extra keyword arguments are forwarded to the engine
-    constructor (e.g. ``fault_injector``).
-    """
-    import warnings
-
-    if not isinstance(kind, str):  # EngineConfig (duck-typed to avoid a cycle)
-        config = kind
-        key = config.kind
-        if key == "simulated":
-            for name in ("n_cdus", "policy", "seed", "check_invariants",
-                         "record_timeline"):
-                kwargs.setdefault(name, getattr(config, name))
-        elif key in ("batch", "batched"):
-            kwargs.setdefault("prefilter", getattr(config, "prefilter", False))
-    else:
-        warnings.warn(
-            "passing the engine kind as a string to make_engine is "
-            "deprecated; pass a repro.config.EngineConfig instead",
-            DeprecationWarning,
-            stacklevel=2,
+    if not isinstance(config, EngineConfig):
+        raise TypeError(
+            "make_engine takes a repro.config.EngineConfig, got "
+            f"{type(config).__name__} {config!r}; pass "
+            "EngineConfig(kind=...) instead"
         )
-        key = kind.lower()
-    if key == "sequential":
-        return SequentialEngine(checker, telemetry=telemetry, **kwargs)
-    if key in ("batch", "batched"):
-        return BatchedEngine(checker, telemetry=telemetry, **kwargs)
-    if key in ("simulated", "sas"):
-        return SimulatedEngine(checker, telemetry=telemetry, **kwargs)
-    raise ValueError(f"unknown engine kind {key!r}; choose from {ENGINE_KINDS}")
+    if config.kind == "batch":
+        return BatchedEngine(
+            checker, telemetry=telemetry, prefilter=config.prefilter, **kwargs
+        )
+    return SequentialEngine(checker, telemetry=telemetry, **kwargs)

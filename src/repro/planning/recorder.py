@@ -8,13 +8,10 @@ work unit the controller would have shipped to SAS) and delegates
 - the default :class:`~repro.planning.engine.SequentialEngine` reproduces
   the early-exiting sequential semantics a CPU implementation would have;
 - :class:`~repro.planning.engine.BatchedEngine` answers each phase with one
-  vectorized dispatch (bit-identical verdicts and stats, faster clock);
-- :class:`~repro.planning.engine.SimulatedEngine` additionally runs every
-  phase through SAS inline, producing cycle/energy numbers while planning.
+  vectorized dispatch (bit-identical verdicts and stats, faster clock).
 
 Replaying the recorded phases through the SAS/MPAccel simulators yields the
-runtime and energy numbers of Sections 7.1 and 7.4 (or, with the simulated
-engine, they accumulate inline as the planner runs).
+runtime and energy numbers of Sections 7.1 and 7.4.
 
 **Degenerate-input contract** (pinned by ``tests/test_planning_recorder.py``):
 a query with no work in it — ``feasibility`` of a path with fewer than two

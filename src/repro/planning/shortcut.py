@@ -8,8 +8,8 @@ stop at the first collision-free motion — this is the workload that makes
 the connectivity function mode useful (Section 7.1.1).  The fan-out is
 already batch-shaped: under :class:`~repro.planning.engine.BatchedEngine`
 each anchor's whole candidate set resolves in one vectorized dispatch, and
-under :class:`~repro.planning.engine.SimulatedEngine` it is exactly the
-inter-motion parallel phase SAS exploits.
+in a SAS replay of the recorded trace it is exactly the inter-motion
+parallel phase SAS exploits.
 """
 
 from __future__ import annotations

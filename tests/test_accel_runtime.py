@@ -7,6 +7,7 @@ from repro.accel.config import CECDUConfig, MPAccelConfig, SASConfig
 from repro.accel.runtime import RobotRuntime, RuntimeReport, TickReport
 from repro.accel.sas import SASSimulator
 from repro.collision.checker import RobotEnvironmentChecker
+from repro.config import ReproConfig
 from repro.env.octree import Octree
 from repro.env.scene import Scene
 from repro.geometry.aabb import AABB
@@ -27,7 +28,7 @@ class TestRobotRuntime:
             scene=_scene_with_wall(),
             config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
             scene_update=update,
-            octree_resolution=32,
+            repro=ReproConfig(octree_resolution=32, collect_stats=False),
         )
 
     def test_static_scene_plans_once(self, rng):
@@ -70,32 +71,6 @@ class TestRobotRuntime:
         assert report.worst_tick_ms > 0.0
         assert report.meets_budget(budget_ms=10.0)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError) as excinfo:
-            RobotRuntime(
-                robot=planar_arm(2),
-                scene=_scene_with_wall(),
-                config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
-                scene_update=lambda scene, tick, rng_: False,
-                backend="vectorised",
-            )
-        message = str(excinfo.value)
-        assert "vectorised" in message
-        assert "scalar" in message and "batch" in message
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError) as excinfo:
-            RobotRuntime(
-                robot=planar_arm(2),
-                scene=_scene_with_wall(),
-                config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
-                scene_update=lambda scene, tick, rng_: False,
-                engine="sas",
-            )
-        message = str(excinfo.value)
-        assert "sas" in message
-        assert "sequential" in message and "batch" in message
-
 
 class TestRuntimeReportEdgeCases:
     """Regressions pinning the report math on degenerate inputs."""
@@ -115,7 +90,7 @@ class TestRuntimeReportEdgeCases:
             scene=_scene_with_wall(),
             config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
             scene_update=lambda scene, tick, rng_: False,
-            octree_resolution=32,
+            repro=ReproConfig(octree_resolution=32, collect_stats=False),
         )
         report = runtime.run(
             np.array([np.pi * 0.9, 0.0]), np.array([-np.pi * 0.9, 0.0]),

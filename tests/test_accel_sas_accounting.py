@@ -316,6 +316,7 @@ class TestRuntimeBatchBackend:
     def test_runtime_reports_match_and_telemetry_primes(self, rng):
         from repro.accel.runtime import RobotRuntime
         from repro.accel.telemetry import MetricsRegistry
+        from repro.config import ReproConfig
         from repro.env.scene import Scene
         from repro.geometry.aabb import AABB
         from repro.robot.presets import planar_arm
@@ -331,9 +332,10 @@ class TestRuntimeBatchBackend:
                 scene=scene(),
                 config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
                 scene_update=lambda s, tick, r: False,
-                octree_resolution=32,
-                backend=backend,
                 telemetry=telemetry,
+                repro=ReproConfig(
+                    backend=backend, octree_resolution=32, collect_stats=False
+                ),
             )
 
         # The detour scenario: planning hits the wall, so the recorder's

@@ -1,13 +1,14 @@
-"""Typed configuration API: validation, round-trip, shims, and the facade.
+"""Typed configuration API: validation, round-trip, and the facade.
 
 Two contracts are pinned here.  First, the config objects themselves:
 construction validates every field with error messages listing the valid
-choices, and any config round-trips through dicts and JSON losslessly
-(unknown keys and bad enums in a loaded file fail loudly).  Second, the
-migration: the legacy string-kwarg constructors keep producing bit-identical
-behavior while emitting a :class:`DeprecationWarning`, and the new typed
-path (``from_config`` / ``repro.api``) never touches a shim — the facade
-tests run under ``error::DeprecationWarning``.
+choices, knobs that could never act are rejected rather than ignored, and
+any config round-trips through dicts and JSON losslessly (unknown or
+removed keys and bad enums in a loaded file fail loudly).  Second, the
+construction paths: the checker's plain ``backend=`` keyword and
+``from_config`` build the same checker, ``make_engine`` takes only an
+:class:`EngineConfig`, and the ``repro.api`` facade wires everything from
+one :class:`ReproConfig`.
 """
 
 import dataclasses
@@ -30,8 +31,6 @@ from repro.env.generator import random_scene
 from repro.env.octree import Octree
 from repro.harness.serialization import load_config, save_config
 from repro.planning.engine import BatchedEngine, SequentialEngine, make_engine
-from repro.planning.recorder import CDTraceRecorder
-from repro.planning.rrt_connect import RRTConnectPlanner
 from repro.robot.presets import planar_arm
 
 
@@ -54,12 +53,22 @@ class TestValidation:
             ReproConfig(planner="a_star")
 
     def test_bad_engine_kind_lists_choices(self):
-        with pytest.raises(ValueError, match="sequential"):
-            EngineConfig(kind="sas")
+        # "simulated" (inline SAS pricing) and its "sas" alias were removed:
+        # runs are priced by replaying their recorded trace.
+        for kind in ("simulated", "sas"):
+            with pytest.raises(ValueError, match="sequential"):
+                EngineConfig(kind=kind)
 
     def test_batch_engine_requires_batch_backend(self):
         with pytest.raises(ValueError, match="backend 'batch'"):
             ReproConfig(engine=EngineConfig(kind="batch"))
+
+    def test_prefilter_requires_batch_engine(self):
+        """Only the batched engine runs the swept prefilter; asking the
+        sequential engine for it is rejected, not ignored."""
+        with pytest.raises(ValueError, match="prefilter"):
+            EngineConfig(kind="sequential", prefilter=True)
+        assert EngineConfig(kind="batch", prefilter=True).prefilter
 
     def test_positive_fields(self):
         with pytest.raises(ValueError, match="quantum"):
@@ -132,6 +141,22 @@ class TestValidation:
         engine = FaultModels(engine_exception_rate=0.1, engine_timeout_rate=0.1)
         assert ServiceConfig(fault_models=engine).fault_models is engine
 
+    def test_service_rejects_fault_knobs_without_fault_models(self):
+        """With no fault models the service builds no injector, so a
+        non-default ``fault_seed`` or ``max_fault_retries`` is rejected by
+        name; beside ``fault_models`` both are served."""
+        from repro.resilience.faults import FaultModels
+
+        for name, value in (("fault_seed", 7), ("max_fault_retries", 5)):
+            with pytest.raises(ValueError, match=name):
+                ServiceConfig(**{name: value})
+        served = ServiceConfig(
+            fault_models=FaultModels(engine_exception_rate=0.1),
+            fault_seed=7,
+            max_fault_retries=5,
+        )
+        assert (served.fault_seed, served.max_fault_retries) == (7, 5)
+
 
 class TestRoundTrip:
     def _sample(self):
@@ -139,7 +164,7 @@ class TestRoundTrip:
             backend="batch",
             planner="prm",
             motion_step=0.1,
-            engine=EngineConfig(kind="simulated", n_cdus=4, seed=9),
+            engine=EngineConfig(kind="batch", prefilter=True),
             resilience=ResilienceConfig(sim_ms=2.0, audit=True),
             cache=CacheConfig(enabled=True, quantum=1e-6, max_entries=128),
             service=ServiceConfig(batch_window=4, default_deadline_ms=5.0),
@@ -194,6 +219,24 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=key):
             ReproConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_cdus", 16),
+            ("policy", "mcsp"),
+            ("seed", 0),
+            ("check_invariants", True),
+            ("record_timeline", False),
+        ],
+    )
+    def test_removed_engine_keys_rejected(self, key, value):
+        """A config saved with the removed inline-pricing engine's knobs
+        fails loudly, naming the key."""
+        data = ReproConfig().to_dict()
+        data["engine"][key] = value
+        with pytest.raises(ValueError, match=rf"\['{key}'\]"):
+            ReproConfig.from_dict(data)
+
     def test_loaded_bad_enum_lists_choices(self, tmp_path):
         path = str(tmp_path / "config.json")
         save_config(path, ReproConfig())
@@ -223,17 +266,11 @@ class TestRoundTrip:
 
 
 class TestLegacyShims:
-    """Old string kwargs keep working bit-identically, but warn."""
-
-    def test_checker_backend_kwarg_warns(self, world):
-        _, octree, robot = world
-        with pytest.warns(DeprecationWarning, match="backend"):
-            RobotEnvironmentChecker(robot, octree, backend="batch")
+    """The checker's plain ``backend=`` keyword and the typed path agree."""
 
     def test_checker_old_equals_new(self, world):
         _, octree, robot = world
-        with pytest.warns(DeprecationWarning):
-            legacy = RobotEnvironmentChecker(robot, octree, backend="batch")
+        legacy = RobotEnvironmentChecker(robot, octree, backend="batch")
         typed = RobotEnvironmentChecker.from_config(
             robot, octree, ReproConfig(backend="batch")
         )
@@ -243,44 +280,6 @@ class TestLegacyShims:
             typed.check_pose(q) for q in poses
         ]
         assert legacy.stats.as_dict() == typed.stats.as_dict()
-
-    def test_make_engine_string_warns_and_matches(self, world):
-        _, octree, robot = world
-
-        def run(engine_of):
-            checker = RobotEnvironmentChecker.from_config(
-                robot, octree, ReproConfig(backend="batch")
-            )
-            recorder = CDTraceRecorder(checker, engine=engine_of(checker))
-            rng = np.random.default_rng(0)
-            q_start = checker.sample_free_configuration(rng)
-            q_goal = checker.sample_free_configuration(rng)
-            path = RRTConnectPlanner(recorder).plan(q_start, q_goal, rng)
-            return path, checker.stats.as_dict()
-
-        with pytest.warns(DeprecationWarning, match="make_engine"):
-            legacy_path, legacy_stats = run(
-                lambda checker: make_engine("batch", checker)
-            )
-        typed_path, typed_stats = run(
-            lambda checker: make_engine(EngineConfig(kind="batch"), checker)
-        )
-        assert legacy_stats == typed_stats
-        assert len(legacy_path) == len(typed_path)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(legacy_path, typed_path)
-        )
-
-    def test_engine_config_parameterizes_simulated(self, world):
-        _, octree, robot = world
-        checker = RobotEnvironmentChecker.from_config(
-            robot, octree, ReproConfig()
-        )
-        engine = make_engine(
-            EngineConfig(kind="simulated", n_cdus=4, seed=3), checker
-        )
-        assert engine.name == "simulated"
-        assert engine.simulator.n_cdus == 4
 
     def test_typed_engine_kinds(self, world):
         _, octree, robot = world
@@ -295,75 +294,9 @@ class TestLegacyShims:
             make_engine(EngineConfig(kind="batch"), checker), BatchedEngine
         )
 
-    def test_runtime_legacy_kwargs_warn_and_match(self):
-        from repro.accel.cecdu import CECDUConfig
-        from repro.accel.config import MPAccelConfig
-        from repro.accel.runtime import RobotRuntime
-        from repro.env.scene import Scene
-        from repro.geometry.aabb import AABB
 
-        def scene():
-            s = Scene(extent=4.0)
-            s.add_obstacle(
-                AABB.from_min_max([0.7, -0.4, 0.0], [0.9, 0.4, 0.2])
-            )
-            return s
-
-        def run(**kwargs):
-            runtime = RobotRuntime(
-                robot=planar_arm(2),
-                scene=scene(),
-                config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
-                scene_update=lambda s, tick, r: False,
-                **kwargs,
-            )
-            report = runtime.run(
-                np.array([np.pi * 0.9, 0.0]),
-                np.array([-np.pi * 0.9, 0.0]),
-                n_ticks=1,
-                rng=np.random.default_rng(0),
-            )
-            return [
-                (t.phases, t.poses_checked, t.planning_ms) for t in report.ticks
-            ], report.final_path
-
-        with pytest.warns(DeprecationWarning, match="RobotRuntime"):
-            legacy_ticks, legacy_path = run(
-                octree_resolution=32, backend="batch", engine="batch"
-            )
-        typed_ticks, typed_path = run(
-            repro=ReproConfig(
-                backend="batch",
-                octree_resolution=32,
-                engine=EngineConfig(kind="batch"),
-            )
-        )
-        assert legacy_ticks == typed_ticks
-        assert all(
-            np.array_equal(a, b) for a, b in zip(legacy_path, typed_path)
-        )
-
-    def test_runtime_rejects_config_plus_legacy_kwargs(self):
-        from repro.accel.cecdu import CECDUConfig
-        from repro.accel.config import MPAccelConfig
-        from repro.accel.runtime import RobotRuntime
-        from repro.env.scene import Scene
-
-        with pytest.raises(ValueError, match="legacy kwarg"):
-            RobotRuntime(
-                robot=planar_arm(2),
-                scene=Scene(extent=4.0),
-                config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
-                scene_update=lambda s, tick, r: False,
-                backend="batch",
-                repro=ReproConfig(backend="batch"),
-            )
-
-
-@pytest.mark.filterwarnings("error::DeprecationWarning")
 class TestFacade:
-    """The new API end to end, with DeprecationWarnings escalated to errors:
-    any internal use of a legacy shim fails these tests."""
+    """The typed API end to end."""
 
     def test_plan_deterministic(self, world):
         _, octree, robot = world

@@ -1,25 +1,29 @@
-"""Differential harness: all three query engines are interchangeable.
+"""Differential harness: the two query engines are interchangeable.
 
 For fixed seeds, every planner workload (RRT, RRT-Connect, PRM, greedy
-shortcut) must produce the *identical* run under SequentialEngine,
-BatchedEngine, and SimulatedEngine:
+shortcut) must produce the *identical* run under SequentialEngine and
+BatchedEngine (with and without the swept-motion prefilter):
 
 - the same planner path (same waypoints, to float precision),
 - the same per-phase engine answers (per-motion verdicts),
 - the same per-pose ground-truth verdicts for every recorded motion,
-- the same planner-visible ``CollisionStats`` operation counts,
+- the same planner-visible ``CollisionStats`` operation counts.
 
-and every SimulatedEngine phase result must pass the SAS invariant audit.
-This is the acceptance gate for the engine refactor: planners cannot tell
-the engines apart except by wall clock and by the side products
-(cycle/energy numbers) the simulated engine accumulates.
+Pricing is a replay of the recorded trace: every phase of the batched
+recording, replayed through an invariant-checked ``SASSimulator``, must
+pass the SAS audit, and the replay of the sequential recording must equal
+the replay of the batched one on every ``SASResult`` field.  This is the
+acceptance gate for the engines: planners cannot tell them apart except by
+wall clock, and neither can the simulator that prices their traces.
 """
 
 import numpy as np
 import pytest
 
 from repro.accel.invariants import check_sas_result
+from repro.accel.sas import SASSimulator
 from repro.collision.checker import RobotEnvironmentChecker
+from repro.config import EngineConfig
 from repro.env.octree import Octree
 from repro.env.scene import Scene
 from repro.geometry.aabb import AABB
@@ -37,7 +41,7 @@ SEED = 2023
 START = np.array([np.pi * 0.9, 0.0])
 GOAL = np.array([-np.pi * 0.9, 0.0])
 
-#: (engine kind, checker backend) triples under differential test.  The
+#: (engine kind, checker backend) pairs under differential test.  The
 #: "batch+prefilter" variant runs the swept-motion prefilter in front of
 #: the exact cascade; with ``collect_stats=True`` (this harness) nothing
 #: may be skipped, so its stats must stay bit-identical too.
@@ -45,7 +49,6 @@ ENGINES = [
     ("sequential", "scalar"),
     ("batch", "batch"),
     ("batch+prefilter", "batch"),
-    ("simulated", "scalar"),
 ]
 
 
@@ -63,13 +66,11 @@ def build_stack(world, engine_kind, backend):
     checker = RobotEnvironmentChecker(
         robot, octree, motion_step=0.05, collect_stats=True, backend=backend
     )
-    if engine_kind == "simulated":
-        engine = make_engine(engine_kind, checker, seed=SEED)
-    elif engine_kind == "batch+prefilter":
-        engine = make_engine("batch", checker, prefilter=True)
+    if engine_kind == "batch+prefilter":
+        config = EngineConfig(kind="batch", prefilter=True)
     else:
-        engine = make_engine(engine_kind, checker)
-    return checker, CDTraceRecorder(checker, engine=engine)
+        config = EngineConfig(kind=engine_kind)
+    return checker, CDTraceRecorder(checker, engine=make_engine(config, checker))
 
 
 def run_workload(world, workload, engine_kind, backend):
@@ -109,12 +110,26 @@ def assert_identical_runs(runs):
         assert run["stats"] == reference["stats"]
 
 
-def assert_simulated_audited(run):
-    engine = run["recorder"].engine
-    assert engine.name == "simulated"
-    assert len(engine.results) == len(run["recorder"].phases)
-    for phase, result in zip(run["recorder"].phases, engine.results):
+def replay(run):
+    """Price a recorded run phase by phase on an invariant-checked SAS."""
+    simulator = SASSimulator(
+        n_cdus=16, policy="mcsp", seed=SEED, check_invariants=True
+    )
+    return [simulator.run(phase) for phase in run["recorder"].phases]
+
+
+def assert_replays_audited_and_equal(runs):
+    """Each phase of the batched trace's replay passes the SAS audit, and
+    the sequential and batch+prefilter traces (``ENGINES`` order) replay to
+    the same results, field for field."""
+    sequential, batched, prefiltered = runs
+    results = replay(batched)
+    phases = batched["recorder"].phases
+    assert len(results) == len(phases)
+    for phase, result in zip(phases, results):
         assert check_sas_result(result, phases=[phase]) == []
+    assert replay(sequential) == results
+    assert replay(prefiltered) == results
 
 
 def differential(world, workload):
@@ -122,7 +137,7 @@ def differential(world, workload):
         run_workload(world, workload, kind, backend) for kind, backend in ENGINES
     ]
     assert_identical_runs(runs)
-    assert_simulated_audited(runs[-1])
+    assert_replays_audited_and_equal(runs)
     return runs
 
 
@@ -184,14 +199,6 @@ class TestEngineDifferential:
     def test_shortcut(self, world):
         runs = differential(world, shortcut_workload)
         assert runs[0]["path"] is not None
-
-    def test_simulated_batch_variant_matches_too(self, world):
-        """The fourth combination — simulated engine over a batch checker —
-        is also differential-identical on the heaviest workload."""
-        reference = run_workload(world, prm_workload, "sequential", "scalar")
-        simulated = run_workload(world, prm_workload, "simulated", "batch")
-        assert_identical_runs([reference, simulated])
-        assert_simulated_audited(simulated)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +296,9 @@ class TestPreRefactorGolden:
         checker = RobotEnvironmentChecker(
             robot, octree, collect_stats=True, backend="batch"
         )
-        recorder = CDTraceRecorder(checker, engine=make_engine("batch", checker))
+        recorder = CDTraceRecorder(
+            checker, engine=make_engine(EngineConfig(kind="batch"), checker)
+        )
         planner = PRMPlanner(recorder, n_samples=24, k_neighbors=5)
         rng = np.random.default_rng(7)
         planner.build_roadmap(rng)

@@ -148,8 +148,8 @@ class TestTracegenCLI:
 
 class TestEngineRunRoundtrip:
     """save_engine_run/load_engine_run: planner phase streams with their
-    engine answers (and inline SAS results) survive a disk round trip and
-    can be re-audited offline."""
+    engine answers (and the SAS results of their replay) survive a disk
+    round trip and can be re-audited offline."""
 
     def _record(self, jaco_checker, rng, engine=None):
         recorder = CDTraceRecorder(jaco_checker, engine=engine)
@@ -194,22 +194,29 @@ class TestEngineRunRoundtrip:
         for phase, answer in zip(run.phases, run.answers):
             assert answer.outcomes == list(phase.sequential_reference().outcomes)
 
-    def test_simulated_run_reaudits_offline(self, jaco_checker, rng, tmp_path):
+    def test_simulated_run_reaudits_offline(self, jaco, bench_octree, rng, tmp_path):
+        """Record through the batched engine, price by replay, save the
+        per-phase SAS results beside the trace, and re-audit offline."""
         from repro.accel.invariants import check_sas_result
+        from repro.collision.checker import RobotEnvironmentChecker
         from repro.harness.serialization import load_engine_run, save_engine_run
-        from repro.planning.engine import SimulatedEngine
+        from repro.planning.engine import BatchedEngine
 
-        engine = SimulatedEngine(jaco_checker, n_cdus=4, seed=9)
-        recorder = self._record(jaco_checker, rng, engine=engine)
+        checker = RobotEnvironmentChecker(
+            jaco, bench_octree, collect_stats=False, backend="batch"
+        )
+        recorder = self._record(checker, rng, engine=BatchedEngine(checker))
+        simulator = SASSimulator(n_cdus=4, seed=9)
+        results = [simulator.run(phase) for phase in recorder.phases]
         path = str(tmp_path / "sim_run.json")
-        save_engine_run(path, recorder)  # pulls engine.results automatically
+        save_engine_run(path, recorder, sas_results=results)
         run = load_engine_run(path)
-        assert run.engine == "simulated"
+        assert run.engine == "batch"
         assert len(run.sas_results) == len(run.phases) == 3
         for phase, result in zip(run.phases, run.sas_results):
             assert check_sas_result(result, phases=[phase]) == []
         assert [r.cycles for r in run.sas_results] == [
-            r.cycles for r in engine.results
+            r.cycles for r in results
         ]
 
     def test_mismatched_answer_count_rejected(self, tmp_path):

@@ -3,22 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.accel.invariants import check_sas_result
-from repro.accel.sas import SASSimulator
 from repro.accel.telemetry import MetricsRegistry
 from repro.collision.checker import RobotEnvironmentChecker
+from repro.config import ENGINE_KINDS, EngineConfig
 from repro.env.octree import Octree
 from repro.env.scene import Scene
 from repro.geometry.aabb import AABB
 from repro.planning.engine import (
-    ENGINE_KINDS,
     BatchedEngine,
     PhaseAnswer,
     SequentialEngine,
-    SimulatedEngine,
     make_engine,
 )
-from repro.planning.motion import CDPhase, FunctionMode, MotionRecord
 from repro.planning.recorder import CDTraceRecorder
 from repro.robot.presets import planar_arm
 
@@ -76,16 +72,26 @@ class TestMakeEngine:
     def test_kinds_and_aliases(self, world):
         scalar = make_checker(world, "scalar")
         batch = make_checker(world, "batch")
-        assert isinstance(make_engine("sequential", scalar), SequentialEngine)
-        assert isinstance(make_engine("batch", batch), BatchedEngine)
-        assert isinstance(make_engine("batched", batch), BatchedEngine)
-        assert isinstance(make_engine("simulated", scalar), SimulatedEngine)
-        assert isinstance(make_engine("sas", scalar), SimulatedEngine)
-        assert set(ENGINE_KINDS) == {"sequential", "batch", "simulated"}
+        assert isinstance(
+            make_engine(EngineConfig(kind="sequential"), scalar), SequentialEngine
+        )
+        engine = make_engine(EngineConfig(kind="batch"), batch)
+        assert isinstance(engine, BatchedEngine) and engine.prefilter is None
+        prefiltered = make_engine(EngineConfig(kind="batch", prefilter=True), batch)
+        assert prefiltered.prefilter is not None
+        assert ENGINE_KINDS == ("sequential", "batch")
+        with pytest.raises(ValueError, match="unknown engine kind"):
+            EngineConfig(kind="batched")  # the old alias is gone
 
     def test_unknown_kind_raises(self, world):
+        """A bare string, known kind or not, gets a migration ``TypeError``;
+        an unknown kind is rejected by ``EngineConfig`` itself."""
+        checker = make_checker(world, "batch")
+        for kind in ("warp", "batch"):
+            with pytest.raises(TypeError, match="EngineConfig"):
+                make_engine(kind, checker)
         with pytest.raises(ValueError, match="unknown engine kind"):
-            make_engine("warp", make_checker(world, "scalar"))
+            EngineConfig(kind="warp")
 
     def test_batched_rejects_scalar_checker(self, world):
         with pytest.raises(ValueError, match="backend='batch'"):
@@ -114,9 +120,9 @@ class TestRecorderEngineIntegration:
 class TestEngineEquivalence:
     """The semantics contract: identical answers AND identical stats."""
 
-    def _run(self, world, engine_kind, backend, **engine_kwargs):
+    def _run(self, world, engine_kind, backend):
         checker = make_checker(world, backend)
-        engine = make_engine(engine_kind, checker, **engine_kwargs)
+        engine = make_engine(EngineConfig(kind=engine_kind), checker)
         recorder = CDTraceRecorder(checker, engine=engine)
         answers = run_script(recorder)
         return answers, checker.stats.as_dict(), recorder
@@ -126,74 +132,6 @@ class TestEngineEquivalence:
         bat_answers, bat_stats, _ = self._run(world, "batch", "batch")
         assert bat_answers == seq_answers
         assert bat_stats == seq_stats
-
-    def test_simulated_scalar_matches_sequential(self, world):
-        seq_answers, seq_stats, _ = self._run(world, "sequential", "scalar")
-        sim_answers, sim_stats, recorder = self._run(
-            world, "simulated", "scalar", seed=3
-        )
-        assert sim_answers == seq_answers
-        # Planner-visible stats are sequential-identical; the extra ground
-        # truth the simulator needed went to shadow_stats instead.
-        assert sim_stats == seq_stats
-        assert recorder.engine.shadow_stats.pose_checks > 0
-
-    def test_simulated_batch_matches_sequential(self, world):
-        seq_answers, seq_stats, _ = self._run(world, "sequential", "scalar")
-        sim_answers, sim_stats, _ = self._run(world, "simulated", "batch", seed=3)
-        assert sim_answers == seq_answers
-        assert sim_stats == seq_stats
-
-
-class TestSimulatedEngine:
-    def test_one_audited_result_per_phase(self, world):
-        checker = make_checker(world, "scalar")
-        engine = SimulatedEngine(checker, n_cdus=4, seed=11)
-        recorder = CDTraceRecorder(checker, engine=engine)
-        run_script(recorder)
-        assert len(engine.results) == len(recorder.phases)
-        for phase, result in zip(recorder.phases, engine.results):
-            assert check_sas_result(result, phases=[phase]) == []
-        assert engine.total_cycles > 0
-        assert engine.total_tests > 0
-        assert engine.total_energy_pj > 0.0
-
-    def test_inline_equals_posthoc_replay(self, world):
-        """Inline SAS pricing equals a post-hoc run_phases replay of the
-        recorded trace when seed/policy/config match (mcsp is
-        deterministic, so pose orderings coincide)."""
-        checker = make_checker(world, "scalar")
-        engine = SimulatedEngine(checker, n_cdus=8, policy="mcsp", seed=5)
-        recorder = CDTraceRecorder(checker, engine=engine)
-        run_script(recorder)
-        replay = SASSimulator(n_cdus=8, policy="mcsp", seed=5).run_phases(
-            recorder.phases
-        )
-        assert replay.cycles == engine.total_cycles
-        assert replay.tests == engine.total_tests
-        assert replay.energy_pj == pytest.approx(engine.total_energy_pj)
-        assert replay.motion_outcomes == [
-            outcome for result in engine.results
-            for outcome in result.motion_outcomes
-        ]
-
-    def test_clear(self, world):
-        checker = make_checker(world, "scalar")
-        engine = SimulatedEngine(checker, n_cdus=4)
-        recorder = CDTraceRecorder(checker, engine=engine)
-        recorder.steer(FREE_A, FREE_B)
-        assert engine.results
-        engine.clear()
-        assert not engine.results
-        assert engine.shadow_stats.pose_checks == 0
-
-    def test_precomputed_trace_needs_no_checker(self):
-        poses = np.linspace([0.0, 0.0], [1.0, 0.0], 5)
-        motion = MotionRecord.from_precomputed(poses, [False] * 5)
-        engine = SimulatedEngine(checker=None, n_cdus=2)
-        answer = engine.answer(CDPhase(FunctionMode.FEASIBILITY, [motion]))
-        assert answer.outcomes == [False]
-        assert len(engine.results) == 1
 
 
 class TestEngineTelemetry:

@@ -22,12 +22,12 @@ from repro.accel.runtime import RobotRuntime
 from repro.accel.sas import SASSimulator, unit_latency_model
 from repro.accel.telemetry import MetricsRegistry
 from repro.collision.checker import RobotEnvironmentChecker
+from repro.config import ReproConfig, ResilienceConfig
 from repro.env.scene import Scene
 from repro.geometry.aabb import AABB
 from repro.planning.motion import CDPhase, FunctionMode, MotionRecord
 from repro.robot.presets import planar_arm
 from repro.resilience import (
-    DeadlineBudget,
     DegradationLevel,
     FaultInjector,
     FaultModels,
@@ -54,13 +54,15 @@ def _update_far_then_near(scene, tick, rng_):
     return False
 
 
-def _runtime(update=_update_far_then_near, **kwargs):
+def _runtime(update=_update_far_then_near, resilience=ResilienceConfig(), **kwargs):
     return RobotRuntime(
         robot=planar_arm(2),
         scene=_scene(),
         config=MPAccelConfig(n_cecdus=8, cecdu=CECDUConfig(n_oocds=4)),
         scene_update=update,
-        octree_resolution=32,
+        repro=ReproConfig(
+            octree_resolution=32, collect_stats=False, resilience=resilience
+        ),
         **kwargs,
     )
 
@@ -96,29 +98,13 @@ CHAOS_MODELS = FaultModels(
 )
 
 
-class TestConfigValidation:
-    def test_unknown_backend_rejected_with_choices(self):
-        with pytest.raises(ValueError) as excinfo:
-            _runtime(backend="gpu")
-        assert "scalar" in str(excinfo.value) and "batch" in str(excinfo.value)
-
-    def test_unknown_engine_rejected_with_choices(self):
-        with pytest.raises(ValueError) as excinfo:
-            _runtime(engine="simulated")
-        assert "sequential" in str(excinfo.value) and "batch" in str(excinfo.value)
-
-    def test_batch_engine_requires_batch_backend(self):
-        with pytest.raises(ValueError, match="backend='batch'"):
-            _runtime(engine="batch", backend="scalar")
-
-
 class TestDeterminism:
     def test_same_seed_same_report_and_schedule(self):
         fingerprints, schedules = [], []
         for _ in range(2):
             injector = FaultInjector(CHAOS_MODELS, seed=13)
             runtime = _runtime(
-                faults=injector, deadline=DeadlineBudget(sim_ms=1.0)
+                faults=injector, resilience=ResilienceConfig(sim_ms=1.0)
             )
             report = _run(runtime)
             fingerprints.append(_report_fingerprint(report))
@@ -158,7 +144,7 @@ class TestSafetyInvariant:
         """Audit each emission offline with an independent checker."""
         injector = FaultInjector(VERDICT_PRESERVING_MODELS, seed=3)
         runtime = _runtime(
-            faults=injector, deadline=DeadlineBudget(sim_ms=1.0), audit=True
+            faults=injector, resilience=ResilienceConfig(sim_ms=1.0, audit=True)
         )
         report = _run(runtime, n_ticks=6)
         assert runtime.audit_trail  # something was emitted
@@ -179,7 +165,7 @@ class TestSafetyInvariant:
         )
         runtime = _runtime(
             faults=injector,
-            deadline=DeadlineBudget(sim_ms=1.0, max_retries=1),
+            resilience=ResilienceConfig(sim_ms=1.0, max_retries=1),
         )
         report = _run(runtime, n_ticks=3)
         assert report.final_path == []
@@ -216,7 +202,7 @@ class TestSafetyInvariant:
         runtime = _runtime(
             update=toggle,
             faults=injector,
-            deadline=DeadlineBudget(sim_ms=0.05, max_retries=0),
+            resilience=ResilienceConfig(sim_ms=0.05, max_retries=0),
         )
         report = _run(runtime, n_ticks=4)
         histogram = report.degradation_histogram
@@ -232,7 +218,7 @@ class TestSafetyInvariant:
 
 class TestDeadlineEnforcement:
     def test_tiny_sim_budget_records_misses(self):
-        runtime = _runtime(deadline=DeadlineBudget(sim_ms=0.001))
+        runtime = _runtime(resilience=ResilienceConfig(sim_ms=0.001))
         report = _run(runtime)
         assert report.deadline_miss_count > 0
         # Quiet ticks never miss: they do no work.
@@ -248,7 +234,7 @@ class TestDeadlineEnforcement:
         so timings are compared only on ticks that emit a path.
         """
         baseline = _run(_runtime())
-        budgeted = _run(_runtime(deadline=DeadlineBudget(sim_ms=1e9)))
+        budgeted = _run(_runtime(resilience=ResilienceConfig(sim_ms=1e9)))
         assert [t.plan_valid for t in budgeted.ticks] == [
             t.plan_valid for t in baseline.ticks
         ]
@@ -264,7 +250,7 @@ class TestDeadlineEnforcement:
         ticks = iter(np.arange(0.0, 1e4, 0.5))  # every clock() call +500 ms
 
         runtime = _runtime(
-            deadline=DeadlineBudget(sim_ms=None, wall_ms=1.0),
+            resilience=ResilienceConfig(sim_ms=None, wall_ms=1.0),
             clock=lambda: next(ticks),
         )
         report = _run(runtime, n_ticks=3)
@@ -279,7 +265,7 @@ class TestDeadlineEnforcement:
         update cost may still legitimately attempt a replan: the gate
         prices work already *spent*, it does not predict the replan.)
         """
-        runtime = _runtime(deadline=DeadlineBudget(sim_ms=1e-9))
+        runtime = _runtime(resilience=ResilienceConfig(sim_ms=1e-9))
         report = _run(runtime, n_ticks=4)
         first = report.ticks[0]
         assert first.degradation == DegradationLevel.SAFE_STOP.label
